@@ -42,6 +42,18 @@ def _read_source(path: str) -> str:
         return fh.read()
 
 
+def _fraction(text) -> Fraction:
+    """An exact rational from the command line or an input file.
+
+    A zero denominator is a malformed literal like any other, so it raises
+    ValueError (exit 2) instead of ZeroDivisionError.
+    """
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def load_input(path: str) -> tuple[IndexSet, dict[str, StructureVector]]:
     """Index set plus named structure vectors from a text or JSON file."""
     text = _read_source(path).strip()
@@ -49,7 +61,7 @@ def load_input(path: str) -> tuple[IndexSet, dict[str, StructureVector]]:
         doc = json.loads(text)
         lam = validate_index_set([tuple(t) for t in doc["triples"]],
                                  int(doc["n"]), doc.get("mode", "theta"))
-        vectors = {name: structure_vector(lam, vals)
+        vectors = {name: structure_vector(lam, map(_fraction, vals))
                    for name, vals in doc.get("vectors", {}).items()}
         return lam, vectors
     vector_lines: dict[str, str] = {}
@@ -67,7 +79,7 @@ def load_input(path: str) -> tuple[IndexSet, dict[str, StructureVector]]:
     vectors = {}
     for name, body in vector_lines.items():
         vals = [v for chunk in body.split(",") for v in chunk.split()]
-        vectors[name] = structure_vector(lam, vals)
+        vectors[name] = structure_vector(lam, map(_fraction, vals))
     return lam, vectors
 
 
@@ -81,9 +93,9 @@ def _emit(doc: dict, fmt: str) -> None:
 def _spec_from_args(lam: IndexSet, args) -> cs.CrossSectionSpec:
     a0 = None
     if args.center:
-        a0 = [Fraction(x) for chunk in args.center.split(",")
+        a0 = [_fraction(x) for chunk in args.center.split(",")
               for x in chunk.split()]
-    return cs.cross_section(lam, a0=a0, p=Fraction(args.exponent))
+    return cs.cross_section(lam, a0=a0, p=_fraction(args.exponent))
 
 
 def cmd_analyze(args) -> int:
@@ -122,7 +134,7 @@ def cmd_isomorphic(args) -> int:
 def cmd_cross_section(args) -> int:
     lam, _ = load_input(args.input)
     spec = _spec_from_args(lam, args)
-    doc = build_cross_section_report(spec, c=Fraction(args.c))
+    doc = build_cross_section_report(spec, c=_fraction(args.c))
     _emit(doc, args.format)
     return 0
 

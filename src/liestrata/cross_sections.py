@@ -141,40 +141,8 @@ def _normalized(const: Fraction, coeffs: tuple[Fraction, ...]):
     return ints[0], tuple(ints[1:])
 
 
-_Constraint = tuple[tuple[Fraction, ...], Fraction, bool]  # coeffs, const, strict
-
-
-def _fm_feasible(constraints: list[_Constraint], nvars: int) -> bool:
-    """Fourier-Motzkin feasibility of {coeffs.t + const (>|>=) 0}."""
-    current = constraints
-    for v in range(nvars):
-        pos, neg, rest = [], [], []
-        for coeffs, const, strict in current:
-            if coeffs[v] > 0:
-                pos.append((coeffs, const, strict))
-            elif coeffs[v] < 0:
-                neg.append((coeffs, const, strict))
-            else:
-                rest.append((coeffs, const, strict))
-        combined = rest
-        for pc, pb, ps in pos:
-            for nc, nb, ns in neg:
-                fp, fn = -nc[v], pc[v]
-                coeffs = tuple(fp * a + fn * b for a, b in zip(pc, nc))
-                const = fp * pb + fn * nb
-                combined.append((coeffs, const, ps or ns))
-        current = list(set(combined))
-    for _, const, strict in current:
-        if strict and const <= 0:
-            return False
-        if not strict and const < 0:
-            return False
-    return True
-
-
 def delta_domain(spec: CrossSectionSpec) -> PolytopeDomain:
     """Irredundant strict inequalities cutting out the positive slice."""
-    d = spec.dim
     merged: dict[tuple, tuple[Fraction, tuple[Fraction, ...], list[int]]] = {}
     for k in range(len(spec.lam)):
         const = spec.a0[k]
@@ -187,36 +155,79 @@ def delta_domain(spec: CrossSectionSpec) -> PolytopeDomain:
             merged[key][2].append(k + 1)
         else:
             merged[key] = (const, coeffs, [k + 1])
-    items = [LinearInequality(c, cf, tuple(pos))
-             for c, cf, pos in merged.values()]
-    # same direction, different constant: keep only the tightest
-    by_dir: dict[tuple, LinearInequality] = {}
-    for q in items:
-        _, ncoeffs = _normalized(q.const, q.coeffs)
-        scale = next((c / n for c, n in zip(q.coeffs, ncoeffs) if n != 0))
-        key = ncoeffs
-        held = by_dir.get(key)
-        if held is None or q.const / scale < held.const / _dir_scale(held):
-            by_dir[key] = q
-    kept = sorted(by_dir.values(), key=lambda q: (q.positions, q.coeffs))
-    # drop anything implied by the rest (exact Fourier-Motzkin test)
+    # same direction, different constant: keep only the tightest, i.e. the
+    # smallest constant once the coefficients are scaled to ncoeffs
+    by_dir: dict[tuple, tuple[int, LinearInequality]] = {}
+    for (nconst, ncoeffs), (c, cf, pos) in merged.items():
+        held = by_dir.get(ncoeffs)
+        if held is None or nconst < held[0]:
+            by_dir[ncoeffs] = (nconst, LinearInequality(c, cf, tuple(pos)))
+    kept = sorted((q for _, q in by_dir.values()),
+                  key=lambda q: (q.positions, q.coeffs))
+    # drop anything implied by the rest, one candidate at a time
     idx = 0
     while idx < len(kept):
-        candidate = kept[idx]
-        others = [q for q in kept if q is not candidate]
-        system: list[_Constraint] = [(q.coeffs, q.const, True) for q in others]
-        system.append((tuple(-c for c in candidate.coeffs),
-                       -candidate.const, False))  # candidate <= 0
-        if others and not _fm_feasible(system, d):
+        if _implied(kept[idx], kept[:idx] + kept[idx + 1:]):
             kept.pop(idx)
         else:
             idx += 1
     return PolytopeDomain(tuple(kept))
 
 
-def _dir_scale(q: LinearInequality) -> Fraction:
-    _, ncoeffs = _normalized(q.const, q.coeffs)
-    return next((c / n for c, n in zip(q.coeffs, ncoeffs) if n != 0))
+def _implied(candidate: LinearInequality,
+             others: Sequence[LinearInequality]) -> bool:
+    """Whether others > 0 forces candidate > 0, decided by one exact LP.
+
+    Every constant is a center coordinate, hence positive, so t = 0 lies
+    inside {others > 0}; and the candidate has a nonzero coefficient, so it
+    takes no minimum at an interior point.  The candidate is therefore
+    implied iff its minimum over the closure {others >= 0} is >= 0.  The
+    minimum comes from a dense-tableau primal simplex over Fraction with
+    free t = t+ - t-, started at the slack basis (t = 0, feasible since the
+    constants are positive) and pivoted by Bland's rule, which cannot cycle.
+    It stops as soon as the candidate's value turns negative.
+    """
+    if not others:
+        return False
+    d, m = len(candidate.coeffs), len(others)
+    zero, one = Fraction(0), Fraction(1)
+    # row i: slack_i - q_i.coeffs . (t+ - t-) = q_i.const, slack_i = q_i(t)
+    rows = []
+    for i, q in enumerate(others):
+        slack = [zero] * m
+        slack[i] = one
+        rows.append([-c for c in q.coeffs] + list(q.coeffs) + slack)
+    rhs = [q.const for q in others]
+    basis = list(range(2 * d, 2 * d + m))
+    cost = list(candidate.coeffs) + [-c for c in candidate.coeffs] + [zero] * m
+    value = candidate.const  # the candidate at the current vertex
+    while True:
+        enter = next((j for j, r in enumerate(cost) if r < 0), None)
+        if enter is None:
+            return True  # optimal, and value never went below 0
+        leave = best = None
+        for i, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = rhs[i] / row[enter]
+                if leave is None or ratio < best or \
+                        (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave is None:
+            return False  # unbounded below
+        piv = rows[leave][enter]
+        prow = [x / piv for x in rows[leave]]
+        prhs = rhs[leave] / piv
+        rows[leave], rhs[leave], basis[leave] = prow, prhs, enter
+        for i, row in enumerate(rows):
+            f = row[enter]
+            if i != leave and f:
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
+                rhs[i] -= f * prhs
+        f = cost[enter]
+        cost = [a - f * b for a, b in zip(cost, prow)]
+        value += f * prhs
+        if value < 0:
+            return False
 
 
 # ---------------------------------------------------------------------------
@@ -462,20 +473,23 @@ def branch_polynomial(spec: CrossSectionSpec, equation,
     return poly, tsigns
 
 
-def solve_branch_fixtures(spec: CrossSectionSpec,
-                          sys: JacobiSystem) -> list[BranchSolution]:
+def solve_branch_fixtures(spec: CrossSectionSpec, sys: JacobiSystem,
+                          domain: PolytopeDomain | None = None
+                          ) -> list[BranchSolution]:
     """Solve the Jacobi system on every sign branch of the transversal.
 
     Supported shapes: at most two parameters, each equation a product-sum of
     affine slice entries (hence total degree two).  Everything is exact;
     shapes beyond that raise UnsupportedShapeError rather than approximate.
+    ``domain`` is ``delta_domain(spec)``, computed here if not given.
     """
     if sys.lam != spec.lam:
         raise DimensionMismatchError("system indexed by another set")
     if spec.dim > 2:
         raise UnsupportedShapeError(
             f"{spec.dim} parameters exceed the supported branch-solving scale")
-    domain = delta_domain(spec)
+    if domain is None:
+        domain = delta_domain(spec)
     out = []
     for sign in spec.T:
         out.append(_solve_one_branch(spec, sys, sign, domain))
@@ -552,13 +566,23 @@ def _substitute_curve(poly: Poly, solve_var: int, num: list[Fraction],
 
 def _vertical_line_meets_domain(domain: PolytopeDomain, free_var: int,
                                 value: Fraction) -> bool:
-    """Whether {params[free_var] = value} intersects the open domain."""
+    """Whether {params[free_var] = value} intersects the open domain.
+
+    On the line each inequality reads const + coeff * s > 0: a lower bound
+    on s, an upper bound, or (coeff 0) a condition on const alone.
+    """
     other = 1 - free_var
-    system: list[_Constraint] = []
+    lower, upper = [], []
     for q in domain.inequalities:
         const = q.const + q.coeffs[free_var] * value
-        system.append(((q.coeffs[other],), const, True))
-    return _fm_feasible(system, 1)
+        coeff = q.coeffs[other]
+        if coeff > 0:
+            lower.append(-const / coeff)
+        elif coeff < 0:
+            upper.append(-const / coeff)
+        elif const <= 0:
+            return False
+    return not lower or not upper or max(lower) < min(upper)
 
 
 def _solve_bivariate(polys: list[Poly], sign, domain) -> BranchSolution:
@@ -665,11 +689,16 @@ def lie_points(spec: CrossSectionSpec,
 
 
 def curve_samples(spec: CrossSectionSpec, branch: BranchSolution,
-                  count: int = 3) -> list[tuple[tuple[Fraction, ...], StructureVector]]:
-    """Some exact on-curve points inside the domain, for reports and tests."""
+                  count: int = 3, domain: PolytopeDomain | None = None
+                  ) -> list[tuple[tuple[Fraction, ...], StructureVector]]:
+    """Some exact on-curve points inside the domain, for reports and tests.
+
+    ``domain`` is ``delta_domain(spec)``, computed here if not given.
+    """
     if branch.curve is None:
         return []
-    domain = delta_domain(spec)
+    if domain is None:
+        domain = delta_domain(spec)
     out = []
     den = 2 * count + 5
     k = 1

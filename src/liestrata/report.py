@@ -107,8 +107,9 @@ def build_cross_section_report(spec: cs.CrossSectionSpec,
         "c": str(Fraction(c)),
         "directions": [list(w) for w in spec.W],
         "transversal": [list(t) for t in spec.T],
-        "domain": [q.render() for q in cs.delta_domain(spec).inequalities],
     }
+    domain = cs.delta_domain(spec)
+    doc["domain"] = [q.render() for q in domain.inequalities]
     if spec.dim:
         zero = [Fraction(0)] * spec.dim
         jac = cs.f_jacobian(spec, zero, c)
@@ -125,7 +126,7 @@ def build_cross_section_report(spec: cs.CrossSectionSpec,
     sys = jacobi_system(lam)
     doc["jacobi_system"] = format_system(sys)
     try:
-        branches = cs.solve_branch_fixtures(spec, sys)
+        branches = cs.solve_branch_fixtures(spec, sys, domain)
     except UnsupportedShapeError as exc:
         doc["branches_error"] = str(exc)
         return doc
@@ -142,7 +143,7 @@ def build_cross_section_report(spec: cs.CrossSectionSpec,
             entry["curve"] = branch.curve.render()
             entry["samples"] = [
                 _vector_display(vec.values, spec.p)
-                for _, vec in cs.curve_samples(spec, branch)
+                for _, vec in cs.curve_samples(spec, branch, domain=domain)
             ]
         rendered.append(entry)
     doc["branches"] = rendered

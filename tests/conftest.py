@@ -25,6 +25,11 @@ TWO_QUADS_MULT2 = "n=8; (1,3,4) (1,4,6) (1,6,7) (1,7,8) (2,3,6) (2,4,7) (2,6,8) 
 ONE_QUAD_NON_SPANNING = ("n=8; (1,2,4) (1,3,5) (1,4,6) (1,5,7) (1,7,8) "
                          "(2,3,6) (2,4,7) (2,6,8) (3,5,8)")
 
+# Thirteen triples in dimension 6 with a seven-dimensional kernel: a
+# cross section in 7 parameters cut out by 13 irredundant inequalities.
+DIM7 = ("n=6; (1,2,3) (1,2,4) (1,2,6) (1,3,4) (1,4,5) (1,5,6) (2,3,6) "
+        "(2,4,5) (2,5,6) (3,4,5) (3,4,6) (3,5,6) (4,5,6)")
+
 
 @pytest.fixture
 def filiform4():

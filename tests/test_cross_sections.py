@@ -1,8 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liestrata import (OutsideDomainError, UnsupportedShapeError,
                        WNotQuadrupleDerivedError, cross_section, curve_samples,
@@ -10,9 +12,15 @@ from liestrata import (OutsideDomainError, UnsupportedShapeError,
                        f_jacobian, f_value, jacobi_system, left_null_basis,
                        lemma58_certificate, lie_points, point_at, sigma_point,
                        solve_branch_fixtures, structure_vector, w_vector)
-from liestrata.cross_sections import branch_polynomial
+from liestrata import cross_sections
+from liestrata.cross_sections import (CrossSectionSpec, LinearInequality,
+                                      PolytopeDomain,
+                                      _vertical_line_meets_domain,
+                                      branch_polynomial)
+from liestrata.triples import IndexSet, enumerate_theta
 
-from conftest import random_index_set
+from conftest import random_index_set, random_rational
+from fm_oracle import fm_implied, fm_line_meets_domain
 
 
 def ineq_set(domain):
@@ -323,6 +331,47 @@ def test_positivity_matches_domain(one_quad_mult3):
             except OutsideDomainError:
                 positive = False
             assert inside == positive
+
+
+def random_domain_spec(rng: random.Random) -> CrossSectionSpec:
+    """Up to 4 parameters and 7 positions: integer W, positive rational center.
+
+    W need not lie in a kernel; delta_domain reads only the center and W.
+    Center entries come from a small set, so an inequality often meets the
+    others' polyhedron in exactly one point or face (minimum exactly 0).
+    """
+    d, m = rng.randint(1, 4), rng.randint(1, 7)
+    lam = IndexSet(6, tuple(enumerate_theta(6)[:m]))
+    a0 = tuple(Fraction(rng.randint(1, 4), rng.randint(1, 2))
+               for _ in range(m))
+    W = tuple(tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(d))
+    return CrossSectionSpec(lam, a0, W, Fraction(1), ())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_domain_redundancy_lp_matches_fourier_motzkin(seed):
+    spec = random_domain_spec(random.Random(seed))
+    by_lp = delta_domain(spec)
+    with mock.patch.object(cross_sections, "_implied", fm_implied):
+        by_fm = delta_domain(spec)
+    assert by_lp.inequalities == by_fm.inequalities
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_vertical_line_interval_matches_fourier_motzkin(seed):
+    rng = random.Random(seed)
+    domain = PolytopeDomain(tuple(
+        LinearInequality(random_rational(rng) if rng.random() < 0.9
+                         else Fraction(0),
+                         (Fraction(rng.randint(-2, 2)),
+                          Fraction(rng.randint(-2, 2))))
+        for _ in range(rng.randint(0, 6))))
+    free_var = rng.randint(0, 1)
+    value = random_rational(rng, 3) if rng.random() < 0.9 else Fraction(0)
+    assert _vertical_line_meets_domain(domain, free_var, value) == \
+        fm_line_meets_domain(domain, free_var, value)
 
 
 def test_lie_center_check(mult2_plus_mult3, one_quad_mult3, one_quad_mult2):

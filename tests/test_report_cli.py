@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import liestrata
 from liestrata import parse_index_set
 from liestrata.cli import load_input, main
 from liestrata.report import (build_analysis_report,
@@ -13,14 +16,20 @@ from liestrata.report import (build_analysis_report,
 from liestrata.cross_sections import cross_section
 from liestrata.triples import structure_vector
 
-from conftest import (FILIFORM4, MULT2_PLUS_MULT3, ONE_QUAD_MULT2,
+from conftest import (DIM7, FILIFORM4, MULT2_PLUS_MULT3, ONE_QUAD_MULT2,
                       ONE_QUAD_MULT3, ONE_QUAD_NON_SPANNING, TWO_QUADS_MULT2)
+
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(liestrata.__file__))
 
 
 def run_cli(args, stdin=""):
+    # the child imports the same package as the tests, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "liestrata", *args],
-        input=stdin, capture_output=True, text=True)
+        input=stdin, capture_output=True, text=True, env=env)
     return proc
 
 
@@ -135,6 +144,26 @@ def test_cli_exit_code_on_bad_center(mult2_file):
     assert proc.returncode == 3
 
 
+ZERO_DENOMINATOR = {
+    "exponent": (["cross-section", "--exponent", "1/0"], FILIFORM4),
+    "center": (["cross-section", "--center", "1,1/0"], FILIFORM4),
+    "scale": (["cross-section", "--c", "1/0"], FILIFORM4),
+    "vector-line": (["isomorphic"], FILIFORM4 + "\na: 1, 1/0\nb: 1, 1"),
+    "json-vector": (["isomorphic"], json.dumps(
+        {"n": 4, "triples": [[1, 2, 3], [1, 3, 4]],
+         "vectors": {"a": ["1", "1/0"], "b": ["1", "1"]}})),
+}
+
+
+@pytest.mark.parametrize("where", sorted(ZERO_DENOMINATOR))
+def test_cli_zero_denominator_is_input_error(tmp_path, capsys, where):
+    (command, *options), body = ZERO_DENOMINATOR[where]
+    path = tmp_path / "in.txt"
+    path.write_text(body + "\n")
+    assert main([command, str(path), *options]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_exit_code_on_upsilon_jacobi(tmp_path):
     path = tmp_path / "ups.txt"
     path.write_text("n=3; mode=upsilon; (1,2,1)\n")
@@ -243,6 +272,21 @@ def test_cross_section_report_three_parameters():
     doc = build_cross_section_report(spec)
     assert "branches_error" in doc
     assert parse_text(render_text(doc)) == doc
+
+
+@pytest.mark.parametrize("command", [["cross-section"],
+                                     ["analyze", "--cross-section"]])
+def test_cli_dim7_cross_section_is_fast(tmp_path, capsys, command):
+    path = tmp_path / "set.txt"
+    path.write_text(DIM7 + "\n")
+    start = time.perf_counter()
+    assert main([*command, str(path), "--format", "structured"]) == 0
+    elapsed = time.perf_counter() - start
+    doc = json.loads(capsys.readouterr().out)
+    section = doc.get("cross_section", doc)
+    assert len(section["directions"]) == 7
+    assert len(section["domain"]) == 13
+    assert elapsed < 2.0  # about 0.07 s; Fourier-Motzkin ran past 60 s
 
 
 def test_cli_isomorphic_wrong_length_vector(tmp_path):
