@@ -11,12 +11,16 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import cross_sections as cs
 from .errors import (CapExceededError, DimensionMismatchError,
                      DuplicateTripleError, IndexOutOfRangeError, ModeError,
                      OrderViolationError, OutsideDomainError, StratumError,
                      UnsupportedShapeError, WNotQuadrupleDerivedError)
+from .jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
+                     OBSTRUCTION_NONTRIVIAL)
+from .quadruples import CLASSIFICATIONS
 from .report import (build_analysis_report, build_cross_section_report,
                      build_isomorphism_report, render_text, SWEEP_SCHEMA)
 from .sweep import sweep_counts, sweep_strata, workers_from_env
@@ -29,10 +33,11 @@ INPUT_ERRORS = (IndexOutOfRangeError, OrderViolationError,
 PRECONDITION_ERRORS = (ModeError, CapExceededError, OutsideDomainError,
                        UnsupportedShapeError, WNotQuadrupleDerivedError)
 
-OBSTRUCTION_FILTERS = ("empty", "automatic", "nontrivial")
-CLASSIFICATION_FILTERS = ("unobstructed", "finite-1q2", "finite-2q2-disjoint",
-                          "onedim-2q2-shared", "onedim-1q3",
-                          "onedim-1q3+1q2-shared", "unclassified")
+OBSTRUCTION_FILTERS = (OBSTRUCTION_EMPTY, OBSTRUCTION_AUTOMATIC,
+                       OBSTRUCTION_NONTRIVIAL)
+# "empty" is both; as a filter it names the obstruction status
+CLASSIFICATION_FILTERS = tuple(c for c in CLASSIFICATIONS
+                               if c not in OBSTRUCTION_FILTERS)
 
 
 def _read_source(path: str) -> str:
@@ -139,7 +144,66 @@ def cmd_cross_section(args) -> int:
     return 0
 
 
+def _nested(value, depth: int) -> str:
+    """``value`` as ``json.dumps(doc, indent=2)`` writes it at that depth."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+@lru_cache(maxsize=None)
+def _triple_json(t) -> str:
+    return _nested(list(t), 4)
+
+
+@lru_cache(maxsize=None)
+def _entry_tail_json(size, obstruction, classification, multiplicities) -> str:
+    return _nested({"size": size, "obstruction": obstruction,
+                    "classification": classification,
+                    "multiplicities": list(multiplicities)}, 2)[1:]
+
+
+def _entry_json(s) -> str:
+    """One element of the "strata" list, at depth 2 of the sweep document.
+
+    The triples and the remaining fields repeat across strata, so their
+    text is rendered once and reused.
+    """
+    if s.triples:
+        triples = ("[\n        "
+                   + ",\n        ".join(_triple_json(t) for t in s.triples)
+                   + "\n      ]")
+    else:
+        triples = "[]"
+    return ('{\n      "triples": ' + triples + ","
+            + _entry_tail_json(s.size, s.obstruction, s.classification,
+                               s.multiplicities))
+
+
+def _streamed_entries(stream, out):
+    """Write each summary into the open "strata" list, then close it."""
+    sep = "\n    "
+    for s in stream:
+        out.write(sep + _entry_json(s))
+        sep = ",\n    "
+        yield s
+    out.write("]" if sep == "\n    " else "\n  ]")
+
+
+def _text_lines(stream):
+    for s in stream:
+        triples = " ".join(str(t) for t in s.triples) if s.triples else "(empty)"
+        cls = s.classification if s.classification is not None else "-"
+        print(f"size={s.size} {triples} obstruction={s.obstruction} "
+              f"classification={cls}")
+        yield s
+
+
 def cmd_sweep(args) -> int:
+    """Stream the sweep: each stratum is written as soon as it arrives.
+
+    The structured document is written piece by piece with the exact bytes
+    ``json.dumps(doc, indent=2)`` would give, so memory stays flat however
+    many strata the sweep emits.
+    """
     obstruction = classification = None
     if args.filter:
         name = args.filter.lower()
@@ -154,43 +218,20 @@ def cmd_sweep(args) -> int:
         obstruction=obstruction, classification=classification,
         discard_obstructed=args.discard_obstructed, workers=args.workers)
     if args.format == "structured":
-        entries = []
-        collected = []
-        for s in stream:
-            collected.append(s)
-            entries.append({
-                "triples": [list(t) for t in s.triples],
-                "size": s.size,
-                "obstruction": s.obstruction,
-                "classification": s.classification,
-                "multiplicities": list(s.multiplicities),
-            })
-        counts = sweep_counts(collected)
-        doc = {
-            "schema": SWEEP_SCHEMA,
-            "n": args.n, "size": args.size, "max_size": args.max_size,
-            "filter": args.filter, "discard_obstructed": args.discard_obstructed,
-            "strata": entries,
-            "counts": {
-                "total": counts["total"],
-                "obstruction": dict(sorted(counts["obstruction"].items())),
-                "classification": dict(sorted(counts["classification"].items())),
-            },
+        out = sys.stdout
+        head = {"schema": SWEEP_SCHEMA, "n": args.n, "size": args.size,
+                "max_size": args.max_size, "filter": args.filter,
+                "discard_obstructed": args.discard_obstructed}
+        out.write(_nested(head, 0)[:-2] + ',\n  "strata": [')
+        counts = sweep_counts(_streamed_entries(stream, out))
+        tail = {
+            "total": counts["total"],
+            "obstruction": dict(sorted(counts["obstruction"].items())),
+            "classification": dict(sorted(counts["classification"].items())),
         }
-        print(json.dumps(doc, indent=2))
+        out.write(',\n  "counts": ' + _nested(tail, 1) + "\n}\n")
         return 0
-    counts = {"total": 0, "obstruction": {}, "classification": {}}
-    for s in stream:
-        counts["total"] += 1
-        counts["obstruction"][s.obstruction] = \
-            counts["obstruction"].get(s.obstruction, 0) + 1
-        if s.classification is not None:
-            counts["classification"][s.classification] = \
-                counts["classification"].get(s.classification, 0) + 1
-        triples = " ".join(str(t) for t in s.triples) if s.triples else "(empty)"
-        cls = s.classification if s.classification is not None else "-"
-        print(f"size={s.size} {triples} obstruction={s.obstruction} "
-              f"classification={cls}")
+    counts = sweep_counts(_text_lines(stream))
     print(f"# total: {counts['total']}")
     for key in sorted(counts["obstruction"]):
         print(f"# obstruction {key}: {counts['obstruction'][key]}")
@@ -233,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", default=None,
                    help="comma-separated positive rationals (default all ones)")
     p.add_argument("--exponent", default="1", help="display exponent p")
-    p.add_argument("--c", default="1", help="scale constant for the map F");
+    p.add_argument("--c", default="1", help="scale constant for the map F")
     add_format(p)
     p.set_defaults(func=cmd_cross_section)
 

@@ -133,10 +133,3 @@ def brute_force_jacobiator(lam: IndexSet, a: StructureVector) -> bool:
         if bracket.jacobiator(i, j, k):
             return False
     return True
-
-
-def jacobiator_coordinate(lam: IndexSet, a: StructureVector,
-                          q: Quadruple) -> Fraction:
-    """The q4-th coordinate of the Jacobiator at (x_q1, x_q2, x_q3)."""
-    bracket = _Bracket(a)
-    return bracket.jacobiator(q[0], q[1], q[2]).get(q[3], Fraction(0))

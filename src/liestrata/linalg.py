@@ -1,7 +1,8 @@
 """Exact linear algebra for root matrices.
 
-Rational elimination runs on Fractions and kernel bases are scaled back to
-primitive integer vectors in a canonical echelon-derived form.  GF(2) rows
+Rank is fraction-free (Bareiss) elimination over the integers.  Kernels and
+spans are reduced over Fractions and scaled back to primitive integer
+vectors in a canonical echelon-derived form.  GF(2) rows
 are packed into machine-word integers, bit ``c`` of a row holding column
 ``c``.  No floating point anywhere.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -65,8 +66,41 @@ def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     return m[:r], pivots
 
 
+def _integer_row(row: Sequence) -> list[int]:
+    """The row itself if it is integral, else scaled by its denominators' lcm."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    fracs = [Fraction(x) for x in row]
+    scale = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (scale // f.denominator) for f in fracs]
+
+
 def rank(rows: Iterable[Sequence]) -> int:
-    return len(rref(rows)[1])
+    """Rank over Q, by Bareiss elimination on integer-scaled rows.
+
+    Each step replaces a row below the pivot by (p * row - f * pivot_row)
+    divided by the previous pivot; by Sylvester's identity that division is
+    exact, so every entry stays an integer minor of the input.
+    """
+    m = [_integer_row(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        r += 1
+        if r == len(m):
+            break
+    return r
 
 
 def _primitive(vec: Sequence[Fraction]) -> IntVector:
@@ -254,16 +288,3 @@ def gf2_coset_transversal(mat: GF2Matrix) -> tuple[tuple[int, ...], ...]:
                 word |= 1 << coord
         reps.append(_unpack_bits(word, m))
     return tuple(reps)
-
-
-def gf2_coset_representative(mat: GF2Matrix, v: Sequence[int]) -> tuple[int, ...]:
-    """The canonical transversal element in the same Col(mat)-coset as v."""
-    if len(v) != mat.nrows:
-        raise DimensionMismatchError(
-            f"vector length {len(v)} != row count {mat.nrows}")
-    basis, pivots = gf2_column_space(mat)
-    word = _pack_bits(v)
-    for b, p in zip(basis, pivots):
-        if (word >> p) & 1:
-            word ^= b
-    return _unpack_bits(word, mat.nrows)

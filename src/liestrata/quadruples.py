@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ModeError, NotAlignedError, UnknownQuadrupleError
-from .linalg import (IntVector, primitive_span_basis, rank, root_matrix,
-                     root_vector)
+from .linalg import IntVector, primitive_span_basis, rank, root_matrix
 from .triples import IndexSet, Triple
 
 Quadruple = tuple[int, int, int, int]
@@ -208,10 +207,8 @@ def lambda_subspace(lam: IndexSet) -> tuple[IntVector, ...]:
 def null_space_spanning(lam: IndexSet) -> bool:
     """Whether the w-vectors span the whole left null space of Y."""
     lam.require_theta("null-space-spanning test")
-    dim_w = len(lambda_subspace(lam))
-    y = root_matrix(lam)
-    dim_null = len(lam) - rank(y)
-    return dim_w == dim_null
+    dim_null = len(lam) - rank(root_matrix(lam))
+    return rank(lambda_subspace_vectors(lam)) == dim_null
 
 
 def classify(lam: IndexSet) -> str:
@@ -250,10 +247,3 @@ def classify(lam: IndexSet) -> str:
             return ONEDIM_1Q3_1Q2_SHARED
         return UNCLASSIFIED
     return UNCLASSIFIED
-
-
-def aligned_pair_root_sum(lam: IndexSet, pair: AlignedPair) -> IntVector:
-    """Sum of the pair's root vectors; equals e_q1 + e_q2 + e_q3 - e_q4."""
-    t1, t2 = lam.triples[pair.p], lam.triples[pair.r]
-    y1, y2 = root_vector(t1, lam.n), root_vector(t2, lam.n)
-    return tuple(a + b for a, b in zip(y1, y2))

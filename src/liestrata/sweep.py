@@ -1,10 +1,13 @@
 """Deterministic census sweeps over all index sets inside Theta_n.
 
-Strata are enumerated by size and then lexicographically by triple sequence.
-Pair data (quadruple and sign per aligned pair) is cached per dimension so a
-sweep touches each pair of triples once.  The rational kernel is only
-computed when a stratum's multiplicity pattern can actually match one of the
-classification cases, or on small dimensions where it is free.
+Strata are enumerated by size and then lexicographically by triple sequence,
+one task per (size, first triple) block.  A block is walked depth first:
+adding a triple raises the multiplicity of the quadruple of every aligned
+pair it forms with the triples already chosen, and removing it lowers them
+again, so each stratum's obstruction status comes from running counts
+rather than a rescan of its pairs.  The rational kernel is only computed
+for a stratum that can be kept and whose multiplicity pattern can actually
+match one of the classification cases.
 """
 
 from __future__ import annotations
@@ -14,19 +17,27 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError
-from .quadruples import (EMPTY, UNCLASSIFIED, UNOBSTRUCTED, classify,
-                         _pair_info)
+from .quadruples import (EMPTY, FINITE_1Q2, FINITE_2Q2_DISJOINT, ONEDIM_1Q3,
+                         ONEDIM_1Q3_1Q2_SHARED, ONEDIM_2Q2_SHARED,
+                         UNCLASSIFIED, UNOBSTRUCTED, classify, _pair_info)
 from .jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
                      OBSTRUCTION_NONTRIVIAL)
 from .triples import IndexSet, THETA, Triple, enumerate_theta
 
 WORKERS_ENV = "LIESTRATA_WORKERS"
 
-_CLASSIFIABLE_PATTERNS = ((2,), (2, 2), (3,), (2, 3))
+# The labels classify can give a nontrivial stratum, by sorted multiplicity
+# pattern; every other pattern is "unclassified" without a classify call.
+_PATTERN_LABELS = {
+    (2,): (FINITE_1Q2, UNCLASSIFIED),
+    (2, 2): (FINITE_2Q2_DISJOINT, ONEDIM_2Q2_SHARED, UNCLASSIFIED),
+    (3,): (ONEDIM_1Q3, UNCLASSIFIED),
+    (2, 3): (ONEDIM_1Q3_1Q2_SHARED, UNCLASSIFIED),
+}
+_UNCLASSIFIED = (UNCLASSIFIED,)
 
 
 @dataclass(frozen=True)
@@ -43,43 +54,82 @@ class StratumSummary:
 
 @lru_cache(maxsize=8)
 def _pair_cache(n: int):
+    """theta, and for each index b its aligned partners a < b -> quadruple."""
     theta = enumerate_theta(n)
-    pairs = {}
-    for a in range(len(theta)):
-        for b in range(a + 1, len(theta)):
+    partners = []
+    for b in range(len(theta)):
+        row = {}
+        for a in range(b):
             info = _pair_info(theta[a], theta[b])
             if info is not None:
-                pairs[(a, b)] = info[0]
-    return theta, pairs
+                row[a] = info[0]
+        partners.append(row)
+    return theta, partners
 
 
-def _summarize(n: int, combo: tuple[int, ...], theta, pairs,
-               want_classification: bool) -> StratumSummary:
-    counter: Counter = Counter()
-    for x in range(len(combo)):
-        for y in range(x + 1, len(combo)):
-            quad = pairs.get((combo[x], combo[y]))
-            if quad is not None:
-                counter[quad] += 1
-    triples = tuple(theta[i] for i in combo)
-    mults = tuple(sorted(counter.values()))
+class _Walk:
+    """One block walk: the filters and the stratum currently visited.
+
+    ``counter`` maps each quadruple of the stratum's aligned pairs to its
+    multiplicity and holds no zero entries, so its length is the number of
+    nonzero quadruples.  Slots rather than a dataclass, whose generated
+    methods would add to the import time of every CLI call.
+    """
+
+    __slots__ = ("n", "theta", "obstruction", "classification", "discard",
+                 "want_cls", "combo", "counter")
+
+    def __init__(self, n: int, theta: list[Triple], obstruction: str | None,
+                 classification: str | None, discard: bool, want_cls: bool):
+        self.n, self.theta = n, theta
+        self.obstruction, self.classification = obstruction, classification
+        self.discard, self.want_cls = discard, want_cls
+        self.combo: list[int] = []
+        self.counter: dict = {}
+
+
+def _summarize(walk: _Walk, ones: int) -> StratumSummary | None:
+    """Summary of the walk's current stratum, or None when it is dropped.
+
+    ``ones`` counts the quadruples of multiplicity 1.  Every early return is
+    a case ``_keep`` drops, decided from the running counts before any
+    triples, sorted multiplicities or classify call are paid for.
+    """
+    counter = walk.counter
     if not counter:
         obstruction = OBSTRUCTION_AUTOMATIC
-    elif 1 in counter.values():
+    elif ones:
         obstruction = OBSTRUCTION_EMPTY
     else:
         obstruction = OBSTRUCTION_NONTRIVIAL
+    if walk.discard and obstruction == OBSTRUCTION_EMPTY:
+        return None
+    if walk.obstruction is not None and obstruction != walk.obstruction:
+        return None
     classification = None
-    if want_classification:
+    if walk.want_cls:
         if obstruction == OBSTRUCTION_AUTOMATIC:
-            classification = UNOBSTRUCTED
+            labels = (UNOBSTRUCTED,)
         elif obstruction == OBSTRUCTION_EMPTY:
-            classification = EMPTY
-        elif mults not in _CLASSIFIABLE_PATTERNS:
-            classification = UNCLASSIFIED
+            labels = (EMPTY,)
+        elif len(counter) > 2:
+            labels = _UNCLASSIFIED
         else:
-            classification = classify(IndexSet(n, triples, THETA))
-    return StratumSummary(triples, obstruction, classification, mults)
+            labels = _PATTERN_LABELS.get(tuple(sorted(counter.values())),
+                                         _UNCLASSIFIED)
+        if walk.classification is not None and \
+                walk.classification not in labels:
+            return None
+        if len(labels) == 1:
+            classification = labels[0]
+    triples = tuple(walk.theta[i] for i in walk.combo)
+    if walk.want_cls and classification is None:
+        classification = classify(IndexSet(walk.n, triples, THETA))
+    summary = StratumSummary(triples, obstruction, classification,
+                             tuple(sorted(counter.values())))
+    if _keep(summary, walk.obstruction, walk.classification, walk.discard):
+        return summary
+    return None
 
 
 def _check_caps(n: int, max_size, size, cap: int) -> None:
@@ -112,19 +162,49 @@ def _keep(summary: StratumSummary, obstruction, classification,
 def _block(args) -> list[StratumSummary]:
     """All matching summaries of one (size, first-index) enumeration block."""
     (n, k, first, obstruction, classification, discard, want_cls) = args
-    theta, pairs = _pair_cache(n)
-    out = []
+    theta, partners = _pair_cache(n)
+    walk = _Walk(n, theta, obstruction, classification, discard, want_cls)
+    out: list[StratumSummary] = []
     if k == 0:
-        combos: Iterable[tuple[int, ...]] = [()] if first == -1 else []
-    elif first == -1:
-        combos = []
-    else:
-        combos = ((first, *rest)
-                  for rest in combinations(range(first + 1, len(theta)), k - 1))
-    for combo in combos:
-        summary = _summarize(n, combo, theta, pairs, want_cls)
-        if _keep(summary, obstruction, classification, discard):
-            out.append(summary)
+        if first == -1:
+            summary = _summarize(walk, 0)
+            if summary is not None:
+                out.append(summary)
+        return out
+    combo, counter = walk.combo, walk.counter
+    slack = len(theta) - k
+
+    def descend(depth: int, candidates: Iterable[int], ones: int) -> None:
+        # combo holds `depth` indices and `ones` quadruples of multiplicity 1
+        leaf = depth + 1 == k
+        for c in candidates:
+            row = partners[c]
+            added = [row[a] for a in combo if a in row]
+            grown = ones
+            for q in added:
+                m = counter.get(q, 0) + 1
+                counter[q] = m
+                if m == 1:
+                    grown += 1
+                elif m == 2:
+                    grown -= 1
+            combo.append(c)
+            if leaf:
+                summary = _summarize(walk, grown)
+                if summary is not None:
+                    out.append(summary)
+            else:
+                descend(depth + 1, range(c + 1, slack + depth + 2), grown)
+            combo.pop()
+            for q in added:
+                m = counter[q] - 1
+                if m:
+                    counter[q] = m
+                else:
+                    del counter[q]
+
+    if 0 <= first <= slack:
+        descend(0, (first,), 0)
     return out
 
 
@@ -136,7 +216,7 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
                  workers: int = 1) -> Iterator[StratumSummary]:
     """Yield matching strata in (size, lexicographic) order."""
     _check_caps(n, max_size, size, cap)
-    theta, pairs = _pair_cache(n)
+    theta, _ = _pair_cache(n)
     want_cls = with_classification if with_classification is not None \
         else (n <= 6 or classification is not None)
     if classification is not None:
@@ -165,7 +245,10 @@ def workers_from_env(default: int = 1) -> int:
 
 
 def sweep_counts(summaries: Iterable[StratumSummary]) -> dict:
-    """Counaccumulator used by the CLI for the trailing summary."""
+    """Totals by obstruction status and by classification label.
+
+    The CLI feeds its sweep through this for the trailing summary.
+    """
     counts: dict = {"total": 0, "obstruction": Counter(),
                     "classification": Counter()}
     for s in summaries:

@@ -1,0 +1,41 @@
+"""The names the benchmark's tracer hooks into must exist in the package.
+
+``perfbench/spans.py`` wraps functions by name from outside, so renaming
+one of them would quietly break ``--trace 1``.  The file is read and
+executed here, never modified, and no bytecode is cached next to it.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+from liestrata import sweep
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    module = types.ModuleType("perfbench_spans")
+    module.__file__ = str(SPANS)
+    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"),
+         module.__dict__)
+    return module
+
+
+def test_every_traced_name_exists():
+    for layer, names in load_spans().TRACED.items():
+        module = importlib.import_module("liestrata." + layer)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_summarize_counts_every_enumerated_stratum(monkeypatch):
+    spans = load_spans()
+    tracer = spans.Tracer()
+    assert callable(sweep._summarize)
+    monkeypatch.setattr(sweep, "_summarize",
+                        tracer.counted("sweep.strata_enumerated",
+                                       sweep._summarize))
+    emitted = list(sweep.sweep_strata(5, size=3, workers=1))
+    assert tracer.counters["sweep.strata_enumerated"] == 120  # C(10, 3)
+    assert len(emitted) == 120

@@ -7,9 +7,14 @@ from liestrata import (DimensionMismatchError, brute_force_jacobiator,
                        evaluate_jacobi, format_system, is_lie, jacobi_system,
                        obstruction_status, quadruple_table, structure_vector,
                        validate_index_set)
-from liestrata.jacobi import jacobiator_coordinate
+from liestrata.jacobi import _Bracket
 
 from conftest import random_index_set, random_structure_vector
+
+
+def jacobiator_coordinate(lam, a, q):
+    """The q4-th coordinate of the Jacobiator at (x_q1, x_q2, x_q3)."""
+    return _Bracket(a).jacobiator(q[0], q[1], q[2]).get(q[3], Fraction(0))
 
 
 def same_equation(eq, lam, expected):

@@ -1,15 +1,27 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liestrata import (DimensionMismatchError, Triple, gf2_column_space_contains,
                        gf2_coset_transversal, gf2_rank, gf2_root_matrix,
                        in_column_space, left_null_basis, rank, root_matrix,
                        root_vector, span_equals)
-from liestrata.linalg import gf2_coset_representative, transpose
+from liestrata.linalg import gf2_column_space, rref, transpose
 
 from conftest import random_index_set
+
+
+def gf2_coset_representative(mat, v):
+    """The canonical transversal element in the same Col(mat)-coset as v."""
+    basis, pivots = gf2_column_space(mat)
+    word = sum((bit & 1) << i for i, bit in enumerate(v))
+    for b, p in zip(basis, pivots):
+        if (word >> p) & 1:
+            word ^= b
+    return tuple((word >> i) & 1 for i in range(mat.nrows))
 
 
 def test_root_vector_examples():
@@ -158,3 +170,56 @@ def test_span_equals_basics():
     assert span_equals([(1, 0), (0, 1)], [(1, 1), (1, -1)])
     assert not span_equals([(1, 0)], [(0, 1)])
     assert span_equals([], [])
+
+
+ENTRIES = st.one_of(st.integers(-3, 3),
+                    st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Integer or Fraction matrices, often rank-deficient.
+
+    Products of an m x d and a d x c factor have rank at most d, so zero
+    pivots and skipped columns come up; duplicate and zero rows are mixed
+    in afterwards.
+    """
+    m, c, d = draw(st.integers(0, 7)), draw(st.integers(0, 7)), \
+        draw(st.integers(0, 4))
+    entry = draw(st.sampled_from([st.integers(-3, 3), ENTRIES]))
+    if draw(st.booleans()):
+        left = draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                             min_size=m, max_size=m))
+        right = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                              min_size=d, max_size=d))
+        rows = [[sum((l[i] * right[i][j] for i in range(d)), 0)
+                 for j in range(c)] for l in left]
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                             min_size=m, max_size=m))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    list(rows[draw(st.integers(0, len(rows) - 1))]))
+    if draw(st.booleans()):
+        rows.append([0] * c)
+    return rows
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(rational_matrices())
+def test_integer_rank_matches_rational_rref(rows):
+    assert rank(rows) == len(rref(rows)[1])
+
+
+@pytest.mark.parametrize("rows,expected", [
+    ([], 0),
+    ([()], 0),
+    ([(0, 0, 0), (0, 0, 0)], 0),
+    ([(2, 4, 6), (1, 2, 3), (2, 4, 6)], 1),
+    ([(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 13)], 2),
+    ([(0, 0, 1, 2, 3, 4, 5, 6), (0, 0, 2, 4, 6, 8, 10, 13)], 2),
+    ([(Fraction(1, 2), Fraction(1, 3)), (3, 2)], 1),
+    ([(Fraction(1, 2), Fraction(2, 3)), (Fraction(1, 6), 0)], 2),
+])
+def test_integer_rank_corner_cases(rows, expected):
+    assert rank(rows) == expected == len(rref(rows)[1])

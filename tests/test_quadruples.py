@@ -10,10 +10,17 @@ from liestrata import (ModeError, NotAlignedError, Triple,
                        lambda_subspace_vectors, left_null_basis,
                        null_space_spanning, pair_sign, quadruple_of,
                        quadruple_table, root_matrix, w_vector)
-from liestrata.linalg import transpose
-from liestrata.quadruples import aligned_pair_root_sum, root_dot
+from liestrata.linalg import root_vector, transpose
+from liestrata.quadruples import root_dot
 
 from conftest import random_index_set
+
+
+def aligned_pair_root_sum(lam, pair):
+    """Sum of the pair's root vectors; equals e_q1 + e_q2 + e_q3 - e_q4."""
+    y1 = root_vector(lam.triples[pair.p], lam.n)
+    y2 = root_vector(lam.triples[pair.r], lam.n)
+    return tuple(a + b for a, b in zip(y1, y2))
 
 
 def test_aligned_examples():
