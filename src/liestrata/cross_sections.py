@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log
+from math import log
 from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatchError, ModeError, NotAlignedError,
@@ -20,8 +20,8 @@ from .errors import (DimensionMismatchError, ModeError, NotAlignedError,
                      WNotQuadrupleDerivedError)
 from .jacobi import JacobiSystem
 from .linalg import (IntVector, gf2_coset_transversal, gf2_root_matrix,
-                     left_null_basis, rank, root_matrix, span_equals,
-                     transpose)
+                     left_null_basis, primitive, rank, root_matrix,
+                     span_equals, transpose)
 from .poly import (Poly, add_univar, eval_univar, mul_univar, rational_roots,
                    trim)
 from .quadruples import quadruple_of
@@ -126,21 +126,6 @@ class PolytopeDomain:
         return all(q.evaluate(params) > 0 for q in self.inequalities)
 
 
-def _normalized(const: Fraction, coeffs: tuple[Fraction, ...]):
-    """Scale to primitive integers, keeping orientation."""
-    vals = [const, *coeffs]
-    denom = 1
-    for v in vals:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vals]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints[0], tuple(ints[1:])
-
-
 def delta_domain(spec: CrossSectionSpec) -> PolytopeDomain:
     """Irredundant strict inequalities cutting out the positive slice."""
     merged: dict[tuple, tuple[Fraction, tuple[Fraction, ...], list[int]]] = {}
@@ -149,8 +134,7 @@ def delta_domain(spec: CrossSectionSpec) -> PolytopeDomain:
         coeffs = tuple(Fraction(w[k]) for w in spec.W)
         if all(c == 0 for c in coeffs):
             continue  # a0 > 0 makes the constraint vacuous
-        nconst, ncoeffs = _normalized(const, coeffs)
-        key = (nconst, ncoeffs)
+        key = primitive((const, *coeffs))
         if key in merged:
             merged[key][2].append(k + 1)
         else:
@@ -158,7 +142,8 @@ def delta_domain(spec: CrossSectionSpec) -> PolytopeDomain:
     # same direction, different constant: keep only the tightest, i.e. the
     # smallest constant once the coefficients are scaled to ncoeffs
     by_dir: dict[tuple, tuple[int, LinearInequality]] = {}
-    for (nconst, ncoeffs), (c, cf, pos) in merged.items():
+    for key, (c, cf, pos) in merged.items():
+        nconst, ncoeffs = key[0], key[1:]
         held = by_dir.get(ncoeffs)
         if held is None or nconst < held[0]:
             by_dir[ncoeffs] = (nconst, LinearInequality(c, cf, tuple(pos)))
@@ -182,52 +167,66 @@ def _implied(candidate: LinearInequality,
     inside {others > 0}; and the candidate has a nonzero coefficient, so it
     takes no minimum at an interior point.  The candidate is therefore
     implied iff its minimum over the closure {others >= 0} is >= 0.  The
-    minimum comes from a dense-tableau primal simplex over Fraction with
-    free t = t+ - t-, started at the slack basis (t = 0, feasible since the
+    minimum comes from a dense-tableau primal simplex with free
+    t = t+ - t-, started at the slack basis (t = 0, feasible since the
     constants are positive) and pivoted by Bland's rule, which cannot cycle.
     It stops as soon as the candidate's value turns negative.
+
+    The tableau is integral (integer pivoting as in Edmonds and in Avis's
+    lrs).  Row i holds q_i scaled to primitive integers, with slack_i
+    standing for that scaled q_i, so the slack basis is the identity; the
+    last column is the right-hand side.  The objective row holds -cost and
+    the candidate's value, scaled the same way.  A pivot p replaces every
+    other row by (p * row - row[enter] * pivot_row) // det and sets det = p;
+    the division is exact, and every row stays a positive multiple of its
+    Fraction-tableau counterpart, since det and every pivot are positive.
+    Signs and ratios, which are all the pivot rules read, are therefore
+    the same as over Fraction.
     """
     if not others:
         return False
     d, m = len(candidate.coeffs), len(others)
-    zero, one = Fraction(0), Fraction(1)
-    # row i: slack_i - q_i.coeffs . (t+ - t-) = q_i.const, slack_i = q_i(t)
-    rows = []
+    width = 2 * d + m
+    # row i: slack_i - c_i . (t+ - t-) = k_i, where (k_i, c_i) is q_i made
+    # primitive and slack_i = k_i + c_i . t
+    tab = []
     for i, q in enumerate(others):
-        slack = [zero] * m
-        slack[i] = one
-        rows.append([-c for c in q.coeffs] + list(q.coeffs) + slack)
-    rhs = [q.const for q in others]
-    basis = list(range(2 * d, 2 * d + m))
-    cost = list(candidate.coeffs) + [-c for c in candidate.coeffs] + [zero] * m
-    value = candidate.const  # the candidate at the current vertex
+        k, *c = primitive((q.const, *q.coeffs))
+        slack = [0] * m
+        slack[i] = 1
+        tab.append([-x for x in c] + c + slack + [k])
+    k, *c = primitive((candidate.const, *candidate.coeffs))
+    tab.append([-x for x in c] + c + [0] * m + [k])  # the objective row
+    basis = list(range(2 * d, width))
+    det = 1
     while True:
-        enter = next((j for j, r in enumerate(cost) if r < 0), None)
+        obj = tab[m]
+        enter = next((j for j in range(width) if obj[j] > 0), None)
         if enter is None:
             return True  # optimal, and value never went below 0
-        leave = best = None
-        for i, row in enumerate(rows):
-            if row[enter] > 0:
-                ratio = rhs[i] / row[enter]
-                if leave is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+        # min ratio rhs_i / a_i over a_i > 0, compared by cross-multiplying
+        leave = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave, num, den = i, tab[i][-1], a
+                    continue
+                lhs, rhs = tab[i][-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, tab[i][-1], a
         if leave is None:
             return False  # unbounded below
-        piv = rows[leave][enter]
-        prow = [x / piv for x in rows[leave]]
-        prhs = rhs[leave] / piv
-        rows[leave], rhs[leave], basis[leave] = prow, prhs, enter
-        for i, row in enumerate(rows):
-            f = row[enter]
-            if i != leave and f:
-                rows[i] = [a - f * b for a, b in zip(row, prow)]
-                rhs[i] -= f * prhs
-        f = cost[enter]
-        cost = [a - f * b for a, b in zip(cost, prow)]
-        value += f * prhs
-        if value < 0:
-            return False
+        prow = tab[leave]
+        p = prow[enter]
+        for i, row in enumerate(tab):
+            if i != leave:
+                f = row[enter]
+                tab[i] = [(p * x - f * y) // det for x, y in zip(row, prow)]
+        basis[leave] = enter
+        det = p
+        if tab[m][-1] < 0:
+            return False  # the candidate's value went negative
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Exact linear algebra for root matrices.
 
-Rank is fraction-free (Bareiss) elimination over the integers.  Kernels and
-spans are reduced over Fractions and scaled back to primitive integer
-vectors in a canonical echelon-derived form.  GF(2) rows
+Rank, kernels and spans are computed by fraction-free (Bareiss) elimination
+over the integers; rational input rows are first scaled to integer rows.
+Kernels and spans come out as primitive integer vectors in a canonical
+echelon-derived form.  GF(2) rows
 are packed into machine-word integers, bit ``c`` of a row holding column
 ``c``.  No floating point anywhere.
 """
@@ -10,7 +11,6 @@ are packed into machine-word integers, bit ``c`` of a row holding column
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -42,37 +42,25 @@ def transpose(rows: Sequence[Sequence]) -> tuple[tuple, ...]:
     return tuple(zip(*rows))
 
 
-def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+def primitive(values: Iterable) -> IntVector:
+    """The primitive integer vector along a rational vector.
+
+    Scales by the lcm of the denominators, then divides by the gcd of the
+    result, so the orientation is kept and the entries have gcd 1; the zero
+    vector stays zero.
+    """
+    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+            for x in values]
+    scale = lcm(*[x.denominator for x in vals])
+    ints = [x.numerator * (scale // x.denominator) for x in vals]
+    g = gcd(*ints)
+    return tuple([x // g for x in ints] if g > 1 else ints)
 
 
-def _integer_row(row: Sequence) -> list[int]:
-    """The row itself if it is integral, else scaled by its denominators' lcm."""
-    if all(type(x) is int for x in row):
-        return list(row)
-    fracs = [Fraction(x) for x in row]
-    scale = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (scale // f.denominator) for f in fracs]
+def _integer_rows(rows: Iterable[Sequence]) -> list[list[int]]:
+    """Rows scaled to integers by a positive factor each; integral rows as is."""
+    return [list(row) if all(type(x) is int for x in row)
+            else list(primitive(row)) for row in rows]
 
 
 def rank(rows: Iterable[Sequence]) -> int:
@@ -82,7 +70,7 @@ def rank(rows: Iterable[Sequence]) -> int:
     divided by the previous pivot; by Sylvester's identity that division is
     exact, so every entry stays an integer minor of the input.
     """
-    m = [_integer_row(row) for row in rows]
+    m = _integer_rows(rows)
     ncols = len(m[0]) if m else 0
     prev = 1
     r = 0
@@ -103,46 +91,73 @@ def rank(rows: Iterable[Sequence]) -> int:
     return r
 
 
-def _primitive(vec: Sequence[Fraction]) -> IntVector:
-    """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    denoms = [f.denominator for f in vec]
-    scale = reduce(lambda a, b: a * b // gcd(a, b), denoms, 1)
-    ints = [int(f * scale) for f in vec]
-    g = reduce(gcd, (abs(x) for x in ints), 0)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+def _gauss_jordan(m: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    A pivot p at (r, c) replaces every other row by
+    (p * row - row[c] * pivot_row) // det and then sets det = p: Bareiss's
+    exact division carried through to the rows above the pivot.  Each
+    nonzero row left is det times the matching row of the reduced echelon
+    form over Q.  Returns (nonzero rows, pivot columns, det).
+    """
+    pivots: list[int] = []
+    det = 1
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * x - f * y) // det for x, y in zip(m[i], top)]
+        det = p
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots, det
 
 
 def left_null_basis(rows: IntMatrix) -> tuple[IntVector, ...]:
     """Primitive integer basis of {w : Y^T w = 0} for Y given by rows.
 
     The basis comes from the reduced echelon form of Y^T: one vector per
-    free column, carrying 1 at its own free coordinate and 0 at the others,
-    scaled to integers.  Empty when the kernel is trivial.
+    free column, positive at its own free coordinate and 0 at the others.
+    After fraction-free Gauss-Jordan each pivot row i is det times the
+    reduced row, so det * e_f - sum_i red[i][f] * e_{pivot_i}, oriented and
+    divided by its gcd, is the primitive form of that vector.  Empty when
+    the kernel is trivial.
     """
     m = len(rows)
     if m == 0:
         return ()
-    yt = transpose(rows)
-    red, pivots = rref(yt)
-    free = [c for c in range(m) if c not in pivots]
+    red, pivots, det = _gauss_jordan(_integer_rows(transpose(rows)))
+    sign = 1 if det > 0 else -1
+    is_pivot = set(pivots)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * m
-        v[f] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            v[p] = -red[row_idx][f]
-        basis.append(_primitive(v))
+    for f in range(m):
+        if f in is_pivot:
+            continue
+        v = [0] * m
+        v[f] = sign * det
+        for row, p in zip(red, pivots):
+            v[p] = -sign * row[f]
+        basis.append(primitive(v))
     return tuple(basis)
 
 
 def primitive_span_basis(vectors: Sequence[Sequence]) -> tuple[IntVector, ...]:
-    """Canonical primitive integer basis for the span of rational vectors."""
-    if not vectors:
-        return ()
-    red, _ = rref(vectors)
-    return tuple(_primitive(row) for row in red)
+    """Canonical primitive integer basis for the span of rational vectors:
+    the rows of its reduced echelon form, each scaled to a primitive integer
+    vector with a positive leading entry."""
+    red, _, det = _gauss_jordan(_integer_rows(vectors))
+    sign = 1 if det > 0 else -1
+    return tuple(tuple([sign * x for x in primitive(row)]) for row in red)
 
 
 def in_column_space(rows: IntMatrix, v: Sequence) -> bool:
@@ -163,9 +178,7 @@ def span_equals(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> boo
         return False
     if len(basis_a[0]) != len(basis_b[0]):
         raise DimensionMismatchError("ambient dimensions differ")
-    ra, _ = rref(basis_a)
-    rb, _ = rref(basis_b)
-    return ra == rb
+    return primitive_span_basis(basis_a) == primitive_span_basis(basis_b)
 
 
 # ---------------------------------------------------------------------------

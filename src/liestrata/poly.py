@@ -9,11 +9,20 @@ coefficient lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd, isqrt
+from math import isqrt
 from typing import Sequence
 
 from .errors import UnsupportedShapeError
+from .linalg import primitive
+
+# Largest |leading| and |constant| coefficient, after scaling to primitive
+# integers, that rational_roots accepts.  Its candidates are p/q for every
+# divisor p of the constant and q of the leading coefficient, found by trial
+# division up to the square root, so the work grows with both; at this cap
+# it stays under a second (at most 240 divisors each), while every
+# polynomial the branch solver meets on ordinary inputs has coefficients in
+# the single digits.
+ROOT_COEFF_CAP = 10 ** 6
 
 
 class Poly:
@@ -147,14 +156,6 @@ def add_univar(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return trim(out)
 
 
-def _to_integer_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
-    scale = reduce(lambda acc, c: acc * c.denominator // gcd(acc, c.denominator),
-                   coeffs, 1)
-    ints = [int(c * scale) for c in coeffs]
-    g = reduce(gcd, (abs(x) for x in ints), 0)
-    return [x // g for x in ints] if g > 1 else ints
-
-
 def _square_root_exact(n: int) -> int | None:
     if n < 0:
         return None
@@ -166,20 +167,26 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """All rational roots of a nonzero univariate polynomial, exactly.
 
     Raises UnsupportedShapeError when real irrational roots may remain,
-    so callers never silently drop solutions.
+    so callers never silently drop solutions, and when the leading or the
+    (nonzero) constant coefficient exceeds ROOT_COEFF_CAP in absolute value
+    once the coefficients are primitive integers.
     """
     c = trim(list(coeffs))
     if not c:
         raise ValueError("zero polynomial has every root")
     if len(c) == 1:
         return []
-    ints = _to_integer_coeffs(c)
+    ints = primitive(c)
     roots: list[Fraction] = []
     # peel off roots at zero
     while ints[0] == 0:
         if Fraction(0) not in roots:
             roots.append(Fraction(0))
         ints = ints[1:]
+    if max(abs(ints[0]), abs(ints[-1])) > ROOT_COEFF_CAP:
+        raise UnsupportedShapeError(
+            "coefficients too large for the rational root search "
+            f"(above {ROOT_COEFF_CAP} in absolute value)")
     work = [Fraction(x) for x in ints]
     for cand in _root_candidates(ints):
         while len(work) > 1 and eval_univar(work, cand) == 0:

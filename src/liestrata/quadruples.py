@@ -188,14 +188,19 @@ def lambda_subspace_vectors(lam: IndexSet) -> list[IntVector]:
     quadruple contributes one vector, oriented with the earlier pair
     positive.
     """
-    table = quadruple_table(lam)
+    return _w_vectors(quadruple_table(lam))
+
+
+def _w_vectors(table: QuadrupleTable) -> list[IntVector]:
+    """The w-vectors of lambda_subspace_vectors, read off a built table."""
     vectors = []
     for q in table.quadruples:
         pairs = sorted(table.pairs[q], key=lambda ap: (ap.p, ap.r))
         for a in range(len(pairs)):
             for b in range(a + 1, len(pairs)):
                 vectors.append(w_vector(pairs[a].p, pairs[a].r,
-                                        pairs[b].p, pairs[b].r, len(lam)))
+                                        pairs[b].p, pairs[b].r,
+                                        len(table.lam)))
     return vectors
 
 
@@ -207,8 +212,13 @@ def lambda_subspace(lam: IndexSet) -> tuple[IntVector, ...]:
 def null_space_spanning(lam: IndexSet) -> bool:
     """Whether the w-vectors span the whole left null space of Y."""
     lam.require_theta("null-space-spanning test")
-    dim_null = len(lam) - rank(root_matrix(lam))
-    return rank(lambda_subspace_vectors(lam)) == dim_null
+    return _spans_null_space(quadruple_table(lam))
+
+
+def _spans_null_space(table: QuadrupleTable) -> bool:
+    """null_space_spanning for the index set of a built table."""
+    dim_null = len(table.lam) - rank(root_matrix(table.lam))
+    return rank(_w_vectors(table)) == dim_null
 
 
 def classify(lam: IndexSet) -> str:
@@ -225,7 +235,7 @@ def classify(lam: IndexSet) -> str:
     mults = table.multiplicities()
     if any(m == 1 for m in mults.values()):
         return EMPTY
-    if not null_space_spanning(lam):
+    if not _spans_null_space(table):
         return UNCLASSIFIED
     quads = table.quadruples
     counts = sorted(mults.values())

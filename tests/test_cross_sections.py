@@ -21,6 +21,7 @@ from liestrata.triples import IndexSet, enumerate_theta
 
 from conftest import random_index_set, random_rational
 from fm_oracle import fm_implied, fm_line_meets_domain
+from lp_oracle import fraction_implied
 
 
 def ineq_set(domain):
@@ -356,6 +357,51 @@ def test_domain_redundancy_lp_matches_fourier_motzkin(seed):
     with mock.patch.object(cross_sections, "_implied", fm_implied):
         by_fm = delta_domain(spec)
     assert by_lp.inequalities == by_fm.inequalities
+
+
+def high_dim_domain_spec(rng: random.Random) -> CrossSectionSpec:
+    """5-10 parameters and up to 18 positions, beyond Fourier-Motzkin's
+    reach: W entries up to 5 in magnitude, non-unit rational centers.
+
+    Some positions are positive combinations of two earlier ones with the
+    combined center moved by -1/2, 0 or +1/2, so that implied inequalities,
+    some met with equality, come up among the irredundant ones.
+    """
+    d = rng.randint(5, 10)
+    m = rng.randint(d + 1, 18)
+    cols, a0 = [], []
+    for k in range(m):
+        if k >= 2 and rng.random() < 0.4:
+            i, j = rng.sample(range(k), 2)
+            ci, cj = rng.randint(1, 3), rng.randint(1, 3)
+            col = [ci * x + cj * y for x, y in zip(cols[i], cols[j])]
+            shift = Fraction(rng.choice((-1, 0, 1)), 2)
+            center = max(ci * a0[i] + cj * a0[j] + shift, Fraction(1, 3))
+        else:
+            col = [rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(d)]
+            center = Fraction(rng.randint(1, 12), rng.randint(1, 5))
+        cols.append(col)
+        a0.append(center)
+    lam = IndexSet(7, tuple(enumerate_theta(7)[:m]))
+    W = tuple(tuple(col[i] for col in cols) for i in range(d))
+    return CrossSectionSpec(lam, tuple(a0), W, Fraction(1), ())
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_integer_lp_matches_fraction_simplex_high_dim(seed):
+    spec = high_dim_domain_spec(random.Random(seed))
+    rows = [LinearInequality(a, tuple(Fraction(w[k]) for w in spec.W))
+            for k, a in enumerate(spec.a0)]
+    rows = [q for q in rows if any(q.coeffs)]
+    for i, q in enumerate(rows):
+        others = rows[:i] + rows[i + 1:]
+        assert cross_sections._implied(q, others) == \
+            fraction_implied(q, others)
+    by_integer = delta_domain(spec)
+    with mock.patch.object(cross_sections, "_implied", fraction_implied):
+        by_fraction = delta_domain(spec)
+    assert by_integer.inequalities == by_fraction.inequalities
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -9,9 +9,12 @@ from liestrata import (DimensionMismatchError, Triple, gf2_column_space_contains
                        gf2_coset_transversal, gf2_rank, gf2_root_matrix,
                        in_column_space, left_null_basis, rank, root_matrix,
                        root_vector, span_equals)
-from liestrata.linalg import gf2_column_space, rref, transpose
+from liestrata.linalg import (gf2_column_space, primitive,
+                              primitive_span_basis, transpose)
 
+import rref_oracle
 from conftest import random_index_set
+from rref_oracle import rref
 
 
 def gf2_coset_representative(mat, v):
@@ -223,3 +226,70 @@ def test_integer_rank_matches_rational_rref(rows):
 ])
 def test_integer_rank_corner_cases(rows, expected):
     assert rank(rows) == expected == len(rref(rows)[1])
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(rational_matrices())
+def test_integer_kernels_match_fraction_rref(rows):
+    assert left_null_basis(rows) == rref_oracle.left_null_basis(rows)
+    assert primitive_span_basis(rows) == \
+        rref_oracle.primitive_span_basis(rows)
+
+
+@st.composite
+def same_width_pairs(draw):
+    """Two matrices of one width; the second is often built from the rows
+    of the first (same span), otherwise drawn independently."""
+    a = draw(rational_matrices())
+    width = len(a[0]) if a else draw(st.integers(0, 7))
+    if a and draw(st.booleans()):
+        b = []
+        for _ in range(draw(st.integers(0, len(a) + 2))):
+            coeffs = draw(st.lists(ENTRIES, min_size=len(a),
+                                   max_size=len(a)))
+            b.append([sum((k * row[j] for k, row in zip(coeffs, a)), 0)
+                      for j in range(width)])
+        b.extend(a[:draw(st.integers(0, len(a)))])
+    else:
+        b = draw(st.lists(st.lists(ENTRIES, min_size=width, max_size=width),
+                          max_size=7))
+    return a, b
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(same_width_pairs())
+def test_integer_span_equals_matches_fraction_rref(pair):
+    a, b = pair
+    assert span_equals(a, b) == rref_oracle.span_equals(a, b)
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [()],
+    [(), (), ()],
+    [(0, 0, 0), (0, 0, 0)],
+    [(2, 4, 6), (1, 2, 3), (2, 4, 6)],
+    [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 13)],
+    [(0, 0, 1, 2, 3, 4, 5, 6), (0, 0, 2, 4, 6, 8, 10, 13)],
+    [(Fraction(1, 2), Fraction(1, 3)), (3, 2)],
+    [(Fraction(1, 2), Fraction(2, 3)), (Fraction(1, 6), 0)],
+    [(3, 0, -6, 9), (0, 5, 10, 0), (-2, 7, 0, 1), (1, 12, 4, 10)],
+])
+def test_integer_kernel_corner_cases(rows):
+    assert left_null_basis(rows) == rref_oracle.left_null_basis(rows)
+    assert primitive_span_basis(rows) == \
+        rref_oracle.primitive_span_basis(rows)
+    assert span_equals(rows, rows[::-1])
+
+
+@pytest.mark.parametrize("values,expected", [
+    ((), ()),
+    ((0, 0), (0, 0)),
+    ((4, -6, 0), (2, -3, 0)),
+    ((-4, 6), (-2, 3)),
+    ((Fraction(1, 2), Fraction(-1, 3)), (3, -2)),
+    ((Fraction(-2, 3), Fraction(4, 9), 2), (-3, 2, 9)),
+    (("1/2", 1), (1, 2)),
+])
+def test_primitive_scales_and_keeps_orientation(values, expected):
+    assert primitive(values) == expected

@@ -1,0 +1,28 @@
+from fractions import Fraction
+
+import pytest
+
+from liestrata import UnsupportedShapeError
+from liestrata.poly import ROOT_COEFF_CAP, rational_roots
+
+
+def test_rational_roots_at_the_coefficient_cap():
+    # x - cap: constant term exactly at the cap is still searched
+    assert rational_roots([Fraction(-ROOT_COEFF_CAP), Fraction(1)]) == \
+        [Fraction(ROOT_COEFF_CAP)]
+    # (2x - 1)(x + 3) with a scale the primitive form divides out
+    assert rational_roots([Fraction(-3 * 10**9), Fraction(5 * 10**9),
+                           Fraction(2 * 10**9)]) == [-3, Fraction(1, 2)]
+    # roots at zero are peeled before the cap applies
+    assert rational_roots([0, 0, Fraction(-4), Fraction(1)]) == [0, 4]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-(ROOT_COEFF_CAP + 1), 1],
+    [1, 0, ROOT_COEFF_CAP + 1],
+    [Fraction(1, 10**7), 1],
+    [10**40 - 1, -(10**40 + 3)],
+])
+def test_rational_roots_refuses_coefficients_above_the_cap(coeffs):
+    with pytest.raises(UnsupportedShapeError, match="too large"):
+        rational_roots([Fraction(c) for c in coeffs])

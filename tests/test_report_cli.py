@@ -22,14 +22,15 @@ from conftest import (DIM7, FILIFORM4, MULT2_PLUS_MULT3, ONE_QUAD_MULT2,
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(liestrata.__file__))
 
 
-def run_cli(args, stdin=""):
+def run_cli(args, stdin="", timeout=None):
     # the child imports the same package as the tests, installed or not
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "liestrata", *args],
-        input=stdin, capture_output=True, text=True, env=env)
+        input=stdin, capture_output=True, text=True, env=env,
+        timeout=timeout)
     return proc
 
 
@@ -142,6 +143,19 @@ def test_cli_exit_code_on_bad_center(mult2_file):
     proc = run_cli(["cross-section", mult2_file, "--center",
                     "1,1,0,1,1,1"])
     assert proc.returncode == 3
+
+
+def test_cli_huge_center_refuses_root_search_without_hanging(mult2_file):
+    # the branch equation's constant term is 10^30 - 1, whose divisors trial
+    # division would take 10^15 steps to find; the cap refuses it, and the
+    # report records the unsupported shape as it does every other one.
+    proc = run_cli(["cross-section", mult2_file, "--format", "structured",
+                    "--center", "1," + str(10**30) + ",1,1,1,1"],
+                   timeout=60)
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert "branches" not in doc
+    assert "too large for the rational root search" in doc["branches_error"]
 
 
 ZERO_DENOMINATOR = {
