@@ -13,10 +13,11 @@ from .cross_sections import (BranchSolution, Certificate, CrossSectionSpec,
                              lemma58_certificate, lie_points, point_at,
                              sigma_point, solve_branch_fixtures)
 from .errors import (CapExceededError, DimensionMismatchError,
-                     DuplicateTripleError, IndexOutOfRangeError, ModeError,
-                     NotAlignedError, OrderViolationError, OutsideDomainError,
-                     StratumError, UnknownQuadrupleError,
-                     UnsupportedShapeError, WNotQuadrupleDerivedError)
+                     DuplicateTripleError, IndexOutOfRangeError,
+                     MalformedInputError, ModeError, NotAlignedError,
+                     OrderViolationError, OutsideDomainError, StratumError,
+                     UnknownQuadrupleError, UnsupportedShapeError,
+                     WNotQuadrupleDerivedError)
 from .jacobi import (JacobiEquation, JacobiSystem, brute_force_jacobiator,
                      evaluate_jacobi, format_system, is_lie, jacobi_system,
                      obstruction_status)

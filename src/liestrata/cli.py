@@ -15,17 +15,18 @@ from functools import lru_cache
 
 from . import cross_sections as cs
 from .errors import (CapExceededError, DimensionMismatchError,
-                     DuplicateTripleError, IndexOutOfRangeError, ModeError,
-                     OrderViolationError, OutsideDomainError, StratumError,
-                     UnsupportedShapeError, WNotQuadrupleDerivedError)
+                     DuplicateTripleError, IndexOutOfRangeError,
+                     MalformedInputError, ModeError, OrderViolationError,
+                     OutsideDomainError, StratumError, UnsupportedShapeError,
+                     WNotQuadrupleDerivedError)
 from .jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
                      OBSTRUCTION_NONTRIVIAL)
 from .quadruples import CLASSIFICATIONS
 from .report import (build_analysis_report, build_cross_section_report,
                      build_isomorphism_report, render_text, SWEEP_SCHEMA)
-from .sweep import sweep_counts, sweep_strata, workers_from_env
-from .triples import (IndexSet, StructureVector, parse_index_set,
-                      structure_vector, validate_index_set)
+from .sweep import WORKERS_ENV, sweep_counts, sweep_strata, workers_from_env
+from .triples import (IndexSet, StructureVector, index_set_from_json,
+                      parse_index_set, structure_vector)
 
 INPUT_ERRORS = (IndexOutOfRangeError, OrderViolationError,
                 DuplicateTripleError, DimensionMismatchError,
@@ -64,28 +65,30 @@ def load_input(path: str) -> tuple[IndexSet, dict[str, StructureVector]]:
     text = _read_source(path).strip()
     if text.startswith("{"):
         doc = json.loads(text)
-        lam = validate_index_set([tuple(t) for t in doc["triples"]],
-                                 int(doc["n"]), doc.get("mode", "theta"))
-        vectors = {name: structure_vector(lam, map(_fraction, vals))
-                   for name, vals in doc.get("vectors", {}).items()}
-        return lam, vectors
-    vector_lines: dict[str, str] = {}
-    set_lines = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, sep, tail = line.partition(":")
-        if sep and head.strip().isidentifier() and not head.strip() == "mode":
-            vector_lines[head.strip()] = tail.strip()
-        else:
-            set_lines.append(line)
-    lam = parse_index_set(" ".join(set_lines))
-    vectors = {}
-    for name, body in vector_lines.items():
-        vals = [v for chunk in body.split(",") for v in chunk.split()]
-        vectors[name] = structure_vector(lam, map(_fraction, vals))
-    return lam, vectors
+        lam = index_set_from_json(doc)
+        raw = doc.get("vectors", {})
+        if not isinstance(raw, dict) or not all(
+                isinstance(vals, list)
+                and all(type(v) in (int, str) for v in vals)
+                for vals in raw.values()):
+            raise MalformedInputError(
+                '"vectors" must map names to lists of integers or strings')
+    else:
+        raw, set_lines = {}, []
+        for line in text.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            head, sep, tail = line.partition(":")
+            if sep and head.strip().isidentifier() and \
+                    not head.strip() == "mode":
+                raw[head.strip()] = [v for chunk in tail.split(",")
+                                     for v in chunk.split()]
+            else:
+                set_lines.append(line)
+        lam = parse_index_set(" ".join(set_lines))
+    return lam, {name: structure_vector(lam, map(_fraction, vals))
+                 for name, vals in raw.items()}
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -216,7 +219,8 @@ def cmd_sweep(args) -> int:
     stream = sweep_strata(
         args.n, max_size=args.max_size, size=args.size, cap=args.cap,
         obstruction=obstruction, classification=classification,
-        discard_obstructed=args.discard_obstructed, workers=args.workers)
+        discard_obstructed=args.discard_obstructed,
+        workers=workers_from_env() if args.workers is None else args.workers)
     if args.format == "structured":
         out = sys.stdout
         head = {"schema": SWEEP_SCHEMA, "n": args.n, "size": args.size,
@@ -240,7 +244,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: it reads no environment variable."""
     parser = argparse.ArgumentParser(
         prog="liestrata",
         description="Exact analysis of structure-constant strata")
@@ -286,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", default=None,
                    help="obstruction status or classification label")
     p.add_argument("--discard-obstructed", action="store_true")
-    p.add_argument("--workers", type=int, default=workers_from_env())
+    p.add_argument("--workers", type=int, default=None,
+                   help=f"worker processes (default ${WORKERS_ENV} or 1)")
     add_format(p)
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .errors import (DimensionMismatchError, ModeError, NotAlignedError,
                      OutsideDomainError, UnsupportedShapeError,
                      WNotQuadrupleDerivedError)
-from .jacobi import JacobiSystem
+from .jacobi import JacobiSystem, is_lie, jacobi_system
 from .linalg import (IntVector, gf2_coset_transversal, gf2_root_matrix,
                      left_null_basis, primitive, rank, root_matrix,
                      span_equals, transpose)
@@ -128,25 +128,26 @@ class PolytopeDomain:
 
 def delta_domain(spec: CrossSectionSpec) -> PolytopeDomain:
     """Irredundant strict inequalities cutting out the positive slice."""
-    merged: dict[tuple, tuple[Fraction, tuple[Fraction, ...], list[int]]] = {}
+    # one inequality per coefficient direction: scaled to the primitive
+    # integer direction, the smallest constant is the tightest, and equal
+    # inequalities share it with their positions merged
+    by_dir: dict[IntVector, tuple[Fraction, LinearInequality]] = {}
     for k in range(len(spec.lam)):
         const = spec.a0[k]
         coeffs = tuple(Fraction(w[k]) for w in spec.W)
         if all(c == 0 for c in coeffs):
             continue  # a0 > 0 makes the constraint vacuous
-        key = primitive((const, *coeffs))
-        if key in merged:
-            merged[key][2].append(k + 1)
-        else:
-            merged[key] = (const, coeffs, [k + 1])
-    # same direction, different constant: keep only the tightest, i.e. the
-    # smallest constant once the coefficients are scaled to ncoeffs
-    by_dir: dict[tuple, tuple[int, LinearInequality]] = {}
-    for key, (c, cf, pos) in merged.items():
-        nconst, ncoeffs = key[0], key[1:]
-        held = by_dir.get(ncoeffs)
+        direction = primitive(coeffs)
+        lead = next(i for i, d in enumerate(direction) if d)
+        nconst = const * direction[lead] / coeffs[lead]
+        held = by_dir.get(direction)
         if held is None or nconst < held[0]:
-            by_dir[ncoeffs] = (nconst, LinearInequality(c, cf, tuple(pos)))
+            by_dir[direction] = (nconst, LinearInequality(const, coeffs,
+                                                          (k + 1,)))
+        elif nconst == held[0]:
+            q = held[1]
+            by_dir[direction] = (nconst, LinearInequality(
+                q.const, q.coeffs, q.positions + (k + 1,)))
     kept = sorted((q for _, q in by_dir.values()),
                   key=lambda q: (q.positions, q.coeffs))
     # drop anything implied by the rest, one candidate at a time
@@ -274,11 +275,7 @@ def display_value(value: Fraction, p: Fraction) -> str:
 
 def center_is_lie(spec: CrossSectionSpec) -> bool:
     """Whether the center point satisfies the Jacobi system exactly."""
-    from .jacobi import evaluate_jacobi, jacobi_system
-
-    sys = jacobi_system(spec.lam)
-    vec = StructureVector(spec.lam, spec.a0)
-    return all(res == 0 for res in evaluate_jacobi(sys, vec))
+    return is_lie(jacobi_system(spec.lam), StructureVector(spec.lam, spec.a0))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ class ModeError(StratumError):
     """An operation that needs i < j < k received an upsilon-mode index set."""
 
 
+class MalformedInputError(StratumError):
+    """An input document does not have the expected shape."""
+
+
 class DimensionMismatchError(StratumError):
     """Vector or matrix dimensions do not agree."""
 

@@ -14,13 +14,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DimensionMismatchError
-from .quadruples import Quadruple, quadruple_table
+# the obstruction statuses are re-exported from here
+from .quadruples import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
+                         OBSTRUCTION_NONTRIVIAL, Quadruple, quadruple_table,
+                         stratum_status)
 from .triples import IndexSet, StructureVector
-
-# obstruction statuses
-OBSTRUCTION_EMPTY = "empty"
-OBSTRUCTION_AUTOMATIC = "automatic"
-OBSTRUCTION_NONTRIVIAL = "nontrivial"
 
 
 @dataclass(frozen=True)
@@ -66,12 +64,8 @@ def is_lie(sys: JacobiSystem, a: StructureVector) -> bool:
 
 def obstruction_status(lam: IndexSet) -> str:
     """empty if some quadruple has multiplicity 1, automatic if none exist."""
-    table = quadruple_table(lam)
-    if not table.pairs:
-        return OBSTRUCTION_AUTOMATIC
-    if any(m == 1 for m in table.multiplicities().values()):
-        return OBSTRUCTION_EMPTY
-    return OBSTRUCTION_NONTRIVIAL
+    mults = quadruple_table(lam).multiplicities().values()
+    return stratum_status(mults)[0]
 
 
 def format_equation(eq: JacobiEquation, lam: IndexSet) -> str:

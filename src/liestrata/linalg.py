@@ -15,7 +15,7 @@ from math import gcd, lcm
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import CapExceededError, DimensionMismatchError
 from .triples import IndexSet, Triple
 
 IntVector = tuple[int, ...]
@@ -214,19 +214,12 @@ class GF2Matrix:
 def gf2_from_dense(rows: Sequence[Sequence[int]], ncols: int | None = None) -> GF2Matrix:
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    packed = []
-    for row in rows:
-        word = 0
-        for c, x in enumerate(row):
-            word |= (int(x) & 1) << c
-        packed.append(word)
-    return GF2Matrix(tuple(packed), ncols)
+    return GF2Matrix(tuple(_pack_bits(row) for row in rows), ncols)
 
 
 def gf2_root_matrix(lam: IndexSet) -> GF2Matrix:
     """Root matrix reduced entrywise mod 2."""
-    return gf2_from_dense([[x & 1 for x in row] for row in root_matrix(lam)],
-                          lam.n)
+    return gf2_from_dense(root_matrix(lam), lam.n)
 
 
 def _gf2_eliminate(words: list[int], width: int) -> tuple[list[int], list[int]]:
@@ -283,16 +276,27 @@ def gf2_column_space_contains(mat: GF2Matrix, v: Sequence[int]) -> bool:
     return word == 0
 
 
+# The most free coordinates gf2_coset_transversal enumerates, i.e. at most
+# 2^18 = 262 144 representatives.  No stratum of the tests or of the
+# benchmark corpus has more than 14.
+GF2_TRANSVERSAL_CAP = 18
+
+
 def gf2_coset_transversal(mat: GF2Matrix) -> tuple[tuple[int, ...], ...]:
     """One representative per coset of Col(mat) in Z2^m.
 
     Representatives are exactly the vectors supported on the non-pivot
     coordinates of the reduced column space, i.e. the lexicographically
     least member of each coset with that support; there are 2^(m - rank).
+    Raises CapExceededError when m - rank exceeds GF2_TRANSVERSAL_CAP.
     """
     m = mat.nrows
     _, pivots = gf2_column_space(mat)
     free = [c for c in range(m) if c not in pivots]
+    if len(free) > GF2_TRANSVERSAL_CAP:
+        raise CapExceededError(
+            f"the GF(2) coset transversal has 2^{len(free)} representatives "
+            f"(more than 2^{GF2_TRANSVERSAL_CAP})")
     reps = []
     for mask in range(1 << len(free)):
         word = 0

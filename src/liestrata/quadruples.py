@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Collection
 
 from .errors import ModeError, NotAlignedError, UnknownQuadrupleError
 from .linalg import IntVector, primitive_span_basis, rank, root_matrix
@@ -30,6 +31,41 @@ UNCLASSIFIED = "unclassified"
 CLASSIFICATIONS = (EMPTY, UNOBSTRUCTED, FINITE_1Q2, FINITE_2Q2_DISJOINT,
                    ONEDIM_2Q2_SHARED, ONEDIM_1Q3, ONEDIM_1Q3_1Q2_SHARED,
                    UNCLASSIFIED)
+
+# obstruction statuses
+OBSTRUCTION_EMPTY = "empty"
+OBSTRUCTION_AUTOMATIC = "automatic"
+OBSTRUCTION_NONTRIVIAL = "nontrivial"
+
+# The labels classify can give a nontrivial stratum, by sorted multiplicity
+# pattern; every other pattern is unclassified, and so is a stratum whose
+# w-vectors do not span the null space.  Otherwise a one-quadruple pattern
+# takes its first label, and a two-quadruple pattern the label at the number
+# of triples common to both quadruples: 0, 1, or 2 and more.
+_PATTERN_LABELS = {
+    (2,): (FINITE_1Q2, UNCLASSIFIED),
+    (3,): (ONEDIM_1Q3, UNCLASSIFIED),
+    (2, 2): (FINITE_2Q2_DISJOINT, ONEDIM_2Q2_SHARED, UNCLASSIFIED),
+    (2, 3): (UNCLASSIFIED, ONEDIM_1Q3_1Q2_SHARED, UNCLASSIFIED),
+}
+_UNCLASSIFIED = (UNCLASSIFIED,)
+
+
+def stratum_status(mults: Collection[int]) -> tuple[str, tuple[str, ...]]:
+    """Obstruction status and the labels classify can give a stratum.
+
+    ``mults`` are the multiplicities of its nonzero quadruples, in any
+    order.  No quadruple at all makes the Jacobi system automatic, and one
+    of multiplicity 1 makes the stratum empty; either fixes the label.
+    """
+    if not mults:
+        return OBSTRUCTION_AUTOMATIC, (UNOBSTRUCTED,)
+    if 1 in mults:
+        return OBSTRUCTION_EMPTY, (EMPTY,)
+    if len(mults) > 2:
+        return OBSTRUCTION_NONTRIVIAL, _UNCLASSIFIED
+    return OBSTRUCTION_NONTRIVIAL, _PATTERN_LABELS.get(tuple(sorted(mults)),
+                                                       _UNCLASSIFIED)
 
 
 def _require_theta_triples(*ts: Triple) -> None:
@@ -224,36 +260,19 @@ def _spans_null_space(table: QuadrupleTable) -> bool:
 def classify(lam: IndexSet) -> str:
     """Place lam into one of the classification labels.
 
-    Labels follow the quadruple multiplicity pattern and common-triple
-    conditions; any pattern outside them, a non-spanning subspace, or two
-    or more common triples gives "unclassified".
+    The multiplicity pattern decides the label unless it leaves more than
+    one open (see _PATTERN_LABELS); then a non-spanning subspace gives
+    "unclassified", and the number of common triples picks among the
+    labels of a two-quadruple pattern.
     """
     lam.require_theta("classification")
     table = quadruple_table(lam)
-    if not table.pairs:
-        return UNOBSTRUCTED
-    mults = table.multiplicities()
-    if any(m == 1 for m in mults.values()):
-        return EMPTY
+    _, labels = stratum_status(table.multiplicities().values())
+    if len(labels) == 1:
+        return labels[0]
     if not _spans_null_space(table):
         return UNCLASSIFIED
-    quads = table.quadruples
-    counts = sorted(mults.values())
-    if counts == [2]:
-        return FINITE_1Q2
-    if counts == [2, 2]:
-        shared = common_triples(quads[0], quads[1], table)
-        if not shared:
-            return FINITE_2Q2_DISJOINT
-        if len(shared) == 1:
-            return ONEDIM_2Q2_SHARED
-        return UNCLASSIFIED
-    if counts == [3]:
-        return ONEDIM_1Q3
-    if counts == [2, 3]:
-        q2 = next(q for q in quads if mults[q] == 2)
-        q3 = next(q for q in quads if mults[q] == 3)
-        if len(common_triples(q2, q3, table)) == 1:
-            return ONEDIM_1Q3_1Q2_SHARED
-        return UNCLASSIFIED
-    return UNCLASSIFIED
+    if len(table) == 1:
+        return labels[0]
+    q1, q2 = table.quadruples
+    return labels[min(len(common_triples(q1, q2, table)), 2)]

@@ -4,10 +4,10 @@ Strata are enumerated by size and then lexicographically by triple sequence,
 one task per (size, first triple) block.  A block is walked depth first:
 adding a triple raises the multiplicity of the quadruple of every aligned
 pair it forms with the triples already chosen, and removing it lowers them
-again, so each stratum's obstruction status comes from running counts
-rather than a rescan of its pairs.  The rational kernel is only computed
-for a stratum that can be kept and whose multiplicity pattern can actually
-match one of the classification cases.
+again.  Each stratum's obstruction status and the labels it can still get
+come from those running counts through quadruples.stratum_status, so a
+stratum is dropped before its triples are built, and the rational kernel is
+only computed when its multiplicity pattern leaves more than one label open.
 """
 
 from __future__ import annotations
@@ -20,24 +20,11 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError
-from .quadruples import (EMPTY, FINITE_1Q2, FINITE_2Q2_DISJOINT, ONEDIM_1Q3,
-                         ONEDIM_1Q3_1Q2_SHARED, ONEDIM_2Q2_SHARED,
-                         UNCLASSIFIED, UNOBSTRUCTED, classify, _pair_info)
-from .jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
-                     OBSTRUCTION_NONTRIVIAL)
+from .quadruples import (OBSTRUCTION_EMPTY, classify, stratum_status,
+                         _pair_info)
 from .triples import IndexSet, THETA, Triple, enumerate_theta
 
 WORKERS_ENV = "LIESTRATA_WORKERS"
-
-# The labels classify can give a nontrivial stratum, by sorted multiplicity
-# pattern; every other pattern is "unclassified" without a classify call.
-_PATTERN_LABELS = {
-    (2,): (FINITE_1Q2, UNCLASSIFIED),
-    (2, 2): (FINITE_2Q2_DISJOINT, ONEDIM_2Q2_SHARED, UNCLASSIFIED),
-    (3,): (ONEDIM_1Q3, UNCLASSIFIED),
-    (2, 3): (ONEDIM_1Q3_1Q2_SHARED, UNCLASSIFIED),
-}
-_UNCLASSIFIED = (UNCLASSIFIED,)
 
 
 @dataclass(frozen=True)
@@ -71,9 +58,9 @@ class _Walk:
     """One block walk: the filters and the stratum currently visited.
 
     ``counter`` maps each quadruple of the stratum's aligned pairs to its
-    multiplicity and holds no zero entries, so its length is the number of
-    nonzero quadruples.  Slots rather than a dataclass, whose generated
-    methods would add to the import time of every CLI call.
+    multiplicity and holds no zero entries, so its values are the
+    stratum's quadruple multiplicities.  Slots rather than a dataclass,
+    whose generated methods would add to the import time of every CLI call.
     """
 
     __slots__ = ("n", "theta", "obstruction", "classification", "discard",
@@ -88,48 +75,32 @@ class _Walk:
         self.counter: dict = {}
 
 
-def _summarize(walk: _Walk, ones: int) -> StratumSummary | None:
+def _summarize(walk: _Walk) -> StratumSummary | None:
     """Summary of the walk's current stratum, or None when it is dropped.
 
-    ``ones`` counts the quadruples of multiplicity 1.  Every early return is
-    a case ``_keep`` drops, decided from the running counts before any
-    triples, sorted multiplicities or classify call are paid for.
+    The filters first see the status and possible labels of the running
+    multiplicities; classify runs only when more than one label is open.
     """
-    counter = walk.counter
-    if not counter:
-        obstruction = OBSTRUCTION_AUTOMATIC
-    elif ones:
-        obstruction = OBSTRUCTION_EMPTY
-    else:
-        obstruction = OBSTRUCTION_NONTRIVIAL
+    mults = walk.counter.values()
+    obstruction, labels = stratum_status(mults)
     if walk.discard and obstruction == OBSTRUCTION_EMPTY:
         return None
     if walk.obstruction is not None and obstruction != walk.obstruction:
         return None
+    if walk.classification is not None and walk.classification not in labels:
+        return None
+    triples = tuple(walk.theta[i] for i in walk.combo)
     classification = None
     if walk.want_cls:
-        if obstruction == OBSTRUCTION_AUTOMATIC:
-            labels = (UNOBSTRUCTED,)
-        elif obstruction == OBSTRUCTION_EMPTY:
-            labels = (EMPTY,)
-        elif len(counter) > 2:
-            labels = _UNCLASSIFIED
-        else:
-            labels = _PATTERN_LABELS.get(tuple(sorted(counter.values())),
-                                         _UNCLASSIFIED)
-        if walk.classification is not None and \
-                walk.classification not in labels:
-            return None
         if len(labels) == 1:
             classification = labels[0]
-    triples = tuple(walk.theta[i] for i in walk.combo)
-    if walk.want_cls and classification is None:
-        classification = classify(IndexSet(walk.n, triples, THETA))
-    summary = StratumSummary(triples, obstruction, classification,
-                             tuple(sorted(counter.values())))
-    if _keep(summary, walk.obstruction, walk.classification, walk.discard):
-        return summary
-    return None
+        else:
+            classification = classify(IndexSet(walk.n, triples, THETA))
+            if walk.classification is not None and \
+                    classification != walk.classification:
+                return None
+    return StratumSummary(triples, obstruction, classification,
+                          tuple(sorted(mults)))
 
 
 def _check_caps(n: int, max_size, size, cap: int) -> None:
@@ -147,18 +118,6 @@ def _sizes(n: int, max_size, size) -> list[int]:
     return list(range(top + 1))
 
 
-def _keep(summary: StratumSummary, obstruction, classification,
-          discard_obstructed: bool) -> bool:
-    if discard_obstructed and summary.obstruction == OBSTRUCTION_EMPTY:
-        return False
-    if obstruction is not None and summary.obstruction != obstruction:
-        return False
-    if classification is not None and \
-            summary.classification != classification:
-        return False
-    return True
-
-
 def _block(args) -> list[StratumSummary]:
     """All matching summaries of one (size, first-index) enumeration block."""
     (n, k, first, obstruction, classification, discard, want_cls) = args
@@ -167,34 +126,28 @@ def _block(args) -> list[StratumSummary]:
     out: list[StratumSummary] = []
     if k == 0:
         if first == -1:
-            summary = _summarize(walk, 0)
+            summary = _summarize(walk)
             if summary is not None:
                 out.append(summary)
         return out
     combo, counter = walk.combo, walk.counter
     slack = len(theta) - k
 
-    def descend(depth: int, candidates: Iterable[int], ones: int) -> None:
-        # combo holds `depth` indices and `ones` quadruples of multiplicity 1
+    def descend(depth: int, candidates: Iterable[int]) -> None:
+        # combo holds `depth` indices
         leaf = depth + 1 == k
         for c in candidates:
             row = partners[c]
             added = [row[a] for a in combo if a in row]
-            grown = ones
             for q in added:
-                m = counter.get(q, 0) + 1
-                counter[q] = m
-                if m == 1:
-                    grown += 1
-                elif m == 2:
-                    grown -= 1
+                counter[q] = counter.get(q, 0) + 1
             combo.append(c)
             if leaf:
-                summary = _summarize(walk, grown)
+                summary = _summarize(walk)
                 if summary is not None:
                     out.append(summary)
             else:
-                descend(depth + 1, range(c + 1, slack + depth + 2), grown)
+                descend(depth + 1, range(c + 1, slack + depth + 2))
             combo.pop()
             for q in added:
                 m = counter[q] - 1
@@ -204,7 +157,7 @@ def _block(args) -> list[StratumSummary]:
                     del counter[q]
 
     if 0 <= first <= slack:
-        descend(0, (first,), 0)
+        descend(0, (first,))
     return out
 
 
@@ -212,15 +165,12 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
                  cap: int = 8, obstruction: str | None = None,
                  classification: str | None = None,
                  discard_obstructed: bool = False,
-                 with_classification: bool | None = None,
                  workers: int = 1) -> Iterator[StratumSummary]:
-    """Yield matching strata in (size, lexicographic) order."""
+    """Yield matching strata in (size, lexicographic) order, classified
+    for n <= 6 or under a classification filter."""
     _check_caps(n, max_size, size, cap)
     theta, _ = _pair_cache(n)
-    want_cls = with_classification if with_classification is not None \
-        else (n <= 6 or classification is not None)
-    if classification is not None:
-        want_cls = True
+    want_cls = n <= 6 or classification is not None
     tasks = []
     for k in _sizes(n, max_size, size):
         firsts = [-1] if k == 0 else list(range(len(theta) - k + 1))

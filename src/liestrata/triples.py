@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatchError,
     DuplicateTripleError,
     IndexOutOfRangeError,
+    MalformedInputError,
     ModeError,
     OrderViolationError,
 )
@@ -97,6 +98,22 @@ def validate_index_set(raw: Iterable[tuple[int, int, int]], n: int,
     return IndexSet(n, tuple(triples), mode)
 
 
+def index_set_from_json(doc) -> IndexSet:
+    """The IndexSet of a decoded JSON object {"n": .., "mode": ..,
+    "triples": [[i,j,k], ...]} with integer n and entries; mode optional."""
+    if not isinstance(doc, dict):
+        raise MalformedInputError("an index set must be a JSON object")
+    n, raw = doc.get("n"), doc.get("triples")
+    if type(n) is not int:
+        raise MalformedInputError('"n" must be an integer')
+    if not isinstance(raw, list) or not all(
+            isinstance(t, list) and len(t) == 3
+            and all(type(x) is int for x in t) for t in raw):
+        raise MalformedInputError(
+            '"triples" must be a list of [i, j, k] integer lists')
+    return validate_index_set(raw, n, doc.get("mode", THETA))
+
+
 def parse_index_set(text: str) -> IndexSet:
     """Parse the textual format ``n=7; (1,2,4) (1,3,5) ...``.
 
@@ -106,9 +123,7 @@ def parse_index_set(text: str) -> IndexSet:
     """
     text = text.strip()
     if text.startswith("{"):
-        doc = json.loads(text)
-        return validate_index_set([tuple(t) for t in doc["triples"]],
-                                  int(doc["n"]), doc.get("mode", THETA))
+        return index_set_from_json(json.loads(text))
     n = None
     mode = THETA
     triple_src = []

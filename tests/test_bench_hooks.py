@@ -39,3 +39,7 @@ def test_summarize_counts_every_enumerated_stratum(monkeypatch):
     emitted = list(sweep.sweep_strata(5, size=3, workers=1))
     assert tracer.counters["sweep.strata_enumerated"] == 120  # C(10, 3)
     assert len(emitted) == 120
+    # a label filter drops strata inside the leaf, after they are counted
+    list(sweep.sweep_strata(5, size=3, classification="finite-1q2",
+                            workers=1))
+    assert tracer.counters["sweep.strata_enumerated"] == 240

@@ -334,6 +334,24 @@ def test_positivity_matches_domain(one_quad_mult3):
             assert inside == positive
 
 
+def test_domain_keeps_the_tightest_inequality_per_direction():
+    # 1 + 2s + 2t and 2 + 2s + 2t point the same way: the looser one goes
+    # before any redundancy LP, which is then left with nothing to compare
+    lam = IndexSet(6, tuple(enumerate_theta(6)[:2]))
+    spec = CrossSectionSpec(lam, (fr(1), fr(2)), ((2, 2), (2, 2)), fr(1), ())
+    with mock.patch.object(cross_sections, "_implied",
+                           wraps=cross_sections._implied) as spy:
+        dom = delta_domain(spec)
+    assert all(not call.args[1] for call in spy.call_args_list)
+    assert dom.inequalities == (LinearInequality(1, (2, 2), (1,)),)
+    # 1/2 + s + t is 1 + 2s + 2t scaled: one inequality at both positions
+    lam = IndexSet(6, tuple(enumerate_theta(6)[:3]))
+    spec = CrossSectionSpec(lam, (fr(2), fr(1), fr(1, 2)),
+                            ((2, 2, 1), (2, 2, 1)), fr(1), ())
+    assert delta_domain(spec).inequalities == (
+        LinearInequality(1, (2, 2), (2, 3)),)
+
+
 def random_domain_spec(rng: random.Random) -> CrossSectionSpec:
     """Up to 4 parameters and 7 positions: integer W, positive rational center.
 

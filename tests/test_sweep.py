@@ -12,9 +12,10 @@ from liestrata import (classify, obstruction_status, parse_index_set,
 from liestrata.cli import main
 from liestrata.jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
                               OBSTRUCTION_NONTRIVIAL)
-from liestrata.quadruples import CLASSIFICATIONS
+from liestrata.quadruples import (CLASSIFICATIONS, _PATTERN_LABELS,
+                                  _UNCLASSIFIED)
 from liestrata.report import SWEEP_SCHEMA
-from liestrata.sweep import _PATTERN_LABELS, _UNCLASSIFIED, sweep_strata
+from liestrata.sweep import sweep_strata
 
 from conftest import (MULT2_PLUS_MULT3, ONE_QUAD_MULT2, ONE_QUAD_MULT3,
                       ONE_QUAD_NON_SPANNING, TWO_QUADS_MULT2,
@@ -68,9 +69,6 @@ def test_sweep_without_classification_matches_plain_enumeration(obstruction):
     got = list(sweep_strata(7, max_size=2, obstruction=obstruction))
     assert got == [s for s in ref if keep(s, obstruction)]
     assert all(s.classification is None for s in got)
-    off = list(sweep_strata(5, with_classification=False,
-                            obstruction=obstruction))
-    assert off == [s for s in oracle(5, None, False) if keep(s, obstruction)]
 
 
 def test_pattern_labels_contain_every_classify_verdict():
