@@ -52,12 +52,16 @@ def _fraction(text) -> Fraction:
     """An exact rational from the command line or an input file.
 
     A zero denominator is a malformed literal like any other, so it raises
-    ValueError (exit 2) instead of ZeroDivisionError.
+    ValueError (exit 2) instead of ZeroDivisionError.  A value that is no
+    string, as argparse on Python 3.11 makes ``--c=--`` into [], raises
+    MalformedInputError (exit 2) instead of TypeError.
     """
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except TypeError:
+        raise MalformedInputError(f"not a rational number: {text!r}") from None
 
 
 def load_input(path: str) -> tuple[IndexSet, dict[str, StructureVector]]:

@@ -19,13 +19,12 @@ from .errors import (DimensionMismatchError, ModeError, NotAlignedError,
                      OutsideDomainError, UnsupportedShapeError,
                      WNotQuadrupleDerivedError)
 from .jacobi import JacobiSystem, is_lie, jacobi_system
-from .linalg import (IntVector, gf2_coset_transversal, gf2_root_matrix,
-                     left_null_basis, primitive, rank, root_matrix,
-                     span_equals, transpose)
+from .linalg import (IntVector, kernel_basis, primitive, root_matrix,
+                     span_equals, transpose, transversal)
 from .poly import (Poly, add_univar, eval_univar, mul_univar, rational_roots,
                    trim)
 from .quadruples import quadruple_of
-from .triples import IndexSet, StructureVector
+from .triples import IndexSet, StructureVector, memo
 
 
 @dataclass(frozen=True)
@@ -57,11 +56,10 @@ def cross_section(lam: IndexSet, a0: Sequence | None = None,
         raise DimensionMismatchError(f"center point needs {m} entries")
     if any(x <= 0 for x in center):
         raise OutsideDomainError("center point must be strictly positive")
-    y = root_matrix(lam)
-    yt = transpose(y)
     if W is None:
-        dirs = left_null_basis(y)
+        dirs = kernel_basis(lam)
     else:
+        yt = transpose(root_matrix(lam))
         dirs = tuple(tuple(int(x) for x in w) for w in W)
         for w in dirs:
             if len(w) != m:
@@ -71,8 +69,7 @@ def cross_section(lam: IndexSet, a0: Sequence | None = None,
     p = Fraction(p)
     if p == 0:
         raise OutsideDomainError("exponent must be nonzero")
-    trans = tuple(tuple(t) for t in T) if T is not None else \
-        gf2_coset_transversal(gf2_root_matrix(lam))
+    trans = tuple(tuple(t) for t in T) if T is not None else transversal(lam)
     spec = CrossSectionSpec(lam, center, dirs, p, trans)
     if require_lie_center and not center_is_lie(spec):
         raise OutsideDomainError(
@@ -126,6 +123,7 @@ class PolytopeDomain:
         return all(q.evaluate(params) > 0 for q in self.inequalities)
 
 
+@memo
 def delta_domain(spec: CrossSectionSpec) -> PolytopeDomain:
     """Irredundant strict inequalities cutting out the positive slice."""
     # one inequality per coefficient direction: scaled to the primitive
@@ -339,13 +337,9 @@ def lemma58_certificate(spec: CrossSectionSpec) -> Certificate:
     """
     if spec.dim == 0:
         return Certificate(True, "zero-dimensional slice")
-    supports = []
-    for w in spec.W:
-        supports.append(_require_w_vector(spec.lam, w))
-    y = root_matrix(spec.lam)
-    null_dim = len(spec.lam) - rank(y)
-    if rank(spec.W) != spec.dim or spec.dim != null_dim or \
-            not span_equals(spec.W, left_null_basis(y)):
+    supports = [_require_w_vector(spec.lam, w) for w in spec.W]
+    kernel = kernel_basis(spec.lam)
+    if spec.dim != len(kernel) or not span_equals(spec.W, kernel):
         return Certificate(False, "directions are not a null-space basis")
     for i, supp in enumerate(supports):
         others = [supports[j] for j in range(len(supports)) if j != i]
@@ -469,23 +463,20 @@ def branch_polynomial(spec: CrossSectionSpec, equation,
     return poly, tsigns
 
 
-def solve_branch_fixtures(spec: CrossSectionSpec, sys: JacobiSystem,
-                          domain: PolytopeDomain | None = None
-                          ) -> list[BranchSolution]:
+def solve_branch_fixtures(spec: CrossSectionSpec,
+                          sys: JacobiSystem) -> list[BranchSolution]:
     """Solve the Jacobi system on every sign branch of the transversal.
 
     Supported shapes: at most two parameters, each equation a product-sum of
     affine slice entries (hence total degree two).  Everything is exact;
     shapes beyond that raise UnsupportedShapeError rather than approximate.
-    ``domain`` is ``delta_domain(spec)``, computed here if not given.
     """
     if sys.lam != spec.lam:
         raise DimensionMismatchError("system indexed by another set")
     if spec.dim > 2:
         raise UnsupportedShapeError(
             f"{spec.dim} parameters exceed the supported branch-solving scale")
-    if domain is None:
-        domain = delta_domain(spec)
+    domain = delta_domain(spec)
     out = []
     for sign in spec.T:
         out.append(_solve_one_branch(spec, sys, sign, domain))
@@ -525,8 +516,13 @@ def _solve_univariate(polys: list[Poly], sign, domain) -> BranchSolution:
                   for buck in poly.univariate_in(0)]
         roots = set(rational_roots(coeffs))
         common = roots if common is None else common & roots
-    points = tuple(sorted((r,) for r in (common or set())
-                          if domain.contains((r,))))
+    return _admissible(sign, [(r,) for r in common or ()], domain)
+
+
+def _admissible(sign, points: Iterable[tuple[Fraction, ...]],
+                domain: PolytopeDomain) -> BranchSolution:
+    """The distinct points inside the domain, in order, or INCONSISTENT."""
+    points = tuple(pt for pt in sorted(set(points)) if domain.contains(pt))
     if points:
         return BranchSolution(sign, POINTS, points=points)
     return BranchSolution(sign, INCONSISTENT, note="no admissible roots")
@@ -625,10 +621,7 @@ def _solve_bivariate(polys: list[Poly], sign, domain) -> BranchSolution:
         if domain.contains(params) and \
                 all(p.evaluate(params) == 0 for p in polys):
             points.append(params)
-    points = tuple(pt for pt in sorted(set(points)) if domain.contains(pt))
-    if points:
-        return BranchSolution(sign, POINTS, points=points)
-    return BranchSolution(sign, INCONSISTENT, note="no admissible roots")
+    return _admissible(sign, points, domain)
 
 
 def _solve_with_fixed_var(polys: list[Poly], idx: int, v: int, sign,
@@ -638,10 +631,7 @@ def _solve_with_fixed_var(polys: list[Poly], idx: int, v: int, sign,
     points = []
     for root in rational_roots(coeffs):
         points.extend(_solve_on_vertical_line(polys, v, root))
-    points = tuple(pt for pt in sorted(set(points)) if domain.contains(pt))
-    if points:
-        return BranchSolution(sign, POINTS, points=points)
-    return BranchSolution(sign, INCONSISTENT, note="no admissible roots")
+    return _admissible(sign, points, domain)
 
 
 def _solve_on_vertical_line(polys: list[Poly], fixed_var: int,
@@ -685,16 +675,12 @@ def lie_points(spec: CrossSectionSpec,
 
 
 def curve_samples(spec: CrossSectionSpec, branch: BranchSolution,
-                  count: int = 3, domain: PolytopeDomain | None = None
+                  count: int = 3
                   ) -> list[tuple[tuple[Fraction, ...], StructureVector]]:
-    """Some exact on-curve points inside the domain, for reports and tests.
-
-    ``domain`` is ``delta_domain(spec)``, computed here if not given.
-    """
+    """Some exact on-curve points inside the domain, for reports and tests."""
     if branch.curve is None:
         return []
-    if domain is None:
-        domain = delta_domain(spec)
+    domain = delta_domain(spec)
     out = []
     den = 2 * count + 5
     k = 1

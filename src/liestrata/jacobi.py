@@ -43,8 +43,7 @@ def jacobi_system(lam: IndexSet) -> JacobiSystem:
     table = quadruple_table(lam)
     equations = []
     for q in table.quadruples:
-        terms = tuple((ap.sign, ap.p, ap.r)
-                      for ap in sorted(table.pairs[q], key=lambda a: (a.p, a.r)))
+        terms = tuple((ap.sign, ap.p, ap.r) for ap in table.pairs[q])
         equations.append(JacobiEquation(q, terms))
     return JacobiSystem(lam, tuple(equations))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, DimensionMismatchError
-from .triples import IndexSet, Triple
+from .triples import IndexSet, Triple, memo
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -149,6 +149,12 @@ def left_null_basis(rows: IntMatrix) -> tuple[IntVector, ...]:
             v[p] = -sign * row[f]
         basis.append(primitive(v))
     return tuple(basis)
+
+
+@memo
+def kernel_basis(lam: IndexSet) -> tuple[IntVector, ...]:
+    """left_null_basis of lam's root matrix, computed once per index set."""
+    return left_null_basis(root_matrix(lam))
 
 
 def primitive_span_basis(vectors: Sequence[Sequence]) -> tuple[IntVector, ...]:
@@ -305,3 +311,9 @@ def gf2_coset_transversal(mat: GF2Matrix) -> tuple[tuple[int, ...], ...]:
                 word |= 1 << coord
         reps.append(_unpack_bits(word, m))
     return tuple(reps)
+
+
+@memo
+def transversal(lam: IndexSet) -> tuple[tuple[int, ...], ...]:
+    """gf2_coset_transversal of lam's GF(2) root matrix, once per index set."""
+    return gf2_coset_transversal(gf2_root_matrix(lam))

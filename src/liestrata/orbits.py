@@ -14,8 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatchError
-from .linalg import (gf2_column_space_contains, gf2_root_matrix,
-                     left_null_basis, root_matrix)
+from .linalg import gf2_column_space_contains, gf2_root_matrix, kernel_basis
 from .triples import StructureVector, sign_vector
 
 ISOMORPHISM_CAVEAT = "assumes-D-orbit-classes"
@@ -45,8 +44,7 @@ def _check_same_set(a: StructureVector, b: StructureVector) -> None:
 def magnitude_orbit_equivalent(a: StructureVector, b: StructureVector) -> bool:
     """Squared-magnitude test: prod_t (a_t^2/b_t^2)^{w_t} = 1 per kernel w."""
     _check_same_set(a, b)
-    kernel = left_null_basis(root_matrix(a.lam))
-    for w in kernel:
+    for w in kernel_basis(a.lam):
         prod = Fraction(1)
         for t, e in enumerate(w):
             if e:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Collection
 
 from .errors import ModeError, NotAlignedError, UnknownQuadrupleError
 from .linalg import IntVector, primitive_span_basis, rank, root_matrix
-from .triples import IndexSet, Triple
+from .triples import IndexSet, Triple, memo
 
 Quadruple = tuple[int, int, int, int]
 
@@ -158,7 +159,10 @@ class AlignedPair:
 
 @dataclass(frozen=True)
 class QuadrupleTable:
-    """Aligned pairs of an index set grouped by their quadruple."""
+    """Aligned pairs of an index set grouped by their quadruple.
+
+    Each quadruple's pairs are in (p, r) order, the order they are built in.
+    """
 
     lam: IndexSet
     pairs: dict[Quadruple, tuple[AlignedPair, ...]]
@@ -185,6 +189,7 @@ class QuadrupleTable:
         return len(self.pairs)
 
 
+@memo
 def quadruple_table(lam: IndexSet) -> QuadrupleTable:
     """All aligned pairs of lam grouped by quadruple, with signs."""
     lam.require_theta("quadruple table")
@@ -224,20 +229,10 @@ def lambda_subspace_vectors(lam: IndexSet) -> list[IntVector]:
     quadruple contributes one vector, oriented with the earlier pair
     positive.
     """
-    return _w_vectors(quadruple_table(lam))
-
-
-def _w_vectors(table: QuadrupleTable) -> list[IntVector]:
-    """The w-vectors of lambda_subspace_vectors, read off a built table."""
-    vectors = []
-    for q in table.quadruples:
-        pairs = sorted(table.pairs[q], key=lambda ap: (ap.p, ap.r))
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                vectors.append(w_vector(pairs[a].p, pairs[a].r,
-                                        pairs[b].p, pairs[b].r,
-                                        len(table.lam)))
-    return vectors
+    table = quadruple_table(lam)
+    return [w_vector(x.p, x.r, y.p, y.r, len(lam))
+            for q in table.quadruples
+            for x, y in combinations(table.pairs[q], 2)]
 
 
 def lambda_subspace(lam: IndexSet) -> tuple[IntVector, ...]:
@@ -248,13 +243,8 @@ def lambda_subspace(lam: IndexSet) -> tuple[IntVector, ...]:
 def null_space_spanning(lam: IndexSet) -> bool:
     """Whether the w-vectors span the whole left null space of Y."""
     lam.require_theta("null-space-spanning test")
-    return _spans_null_space(quadruple_table(lam))
-
-
-def _spans_null_space(table: QuadrupleTable) -> bool:
-    """null_space_spanning for the index set of a built table."""
-    dim_null = len(table.lam) - rank(root_matrix(table.lam))
-    return rank(_w_vectors(table)) == dim_null
+    dim_null = len(lam) - rank(root_matrix(lam))
+    return rank(lambda_subspace_vectors(lam)) == dim_null
 
 
 def classify(lam: IndexSet) -> str:
@@ -270,7 +260,7 @@ def classify(lam: IndexSet) -> str:
     _, labels = stratum_status(table.multiplicities().values())
     if len(labels) == 1:
         return labels[0]
-    if not _spans_null_space(table):
+    if not null_space_spanning(lam):
         return UNCLASSIFIED
     if len(table) == 1:
         return labels[0]

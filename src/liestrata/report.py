@@ -15,8 +15,8 @@ from typing import Sequence
 from . import cross_sections as cs
 from .errors import UnsupportedShapeError, WNotQuadrupleDerivedError
 from .jacobi import format_system, jacobi_system, obstruction_status
-from .linalg import (gf2_coset_transversal, gf2_rank, gf2_root_matrix,
-                     left_null_basis, rank, root_matrix)
+from .linalg import (gf2_rank, gf2_root_matrix, kernel_basis, root_matrix,
+                     transversal)
 from .orbits import (ISOMORPHISM_CAVEAT, magnitude_orbit_equivalent,
                      orbit_verdict, sign_orbit_equivalent)
 from .quadruples import classify, lambda_subspace, null_space_spanning, \
@@ -41,24 +41,24 @@ def _vector_display(values: Sequence[Fraction], p: Fraction) -> list[str]:
 
 def build_analysis_report(lam: IndexSet,
                           with_cross_section: bool = False) -> dict:
-    y = root_matrix(lam)
     yhat = gf2_root_matrix(lam)
+    kernel = kernel_basis(lam)
     doc: dict = {
         "schema": ANALYSIS_SCHEMA,
         **index_set_document(lam),
-        "root_matrix": [list(r) for r in y],
+        "root_matrix": [list(r) for r in root_matrix(lam)],
         "gf2_root_matrix": [list(r) for r in yhat.dense()],
-        "rank": rank(y) if y else 0,
+        "rank": len(lam) - len(kernel),
         "gf2_rank": gf2_rank(yhat),
-        "kernel_basis": [list(w) for w in left_null_basis(y)],
-        "transversal": [list(t) for t in gf2_coset_transversal(yhat)],
+        "kernel_basis": [list(w) for w in kernel],
+        "transversal": [list(t) for t in transversal(lam)],
     }
     if lam.mode == "theta":
         table = quadruple_table(lam)
         quads = []
         for q in table.quadruples:
             pairs = []
-            for ap in sorted(table.pairs[q], key=lambda a: (a.p, a.r)):
+            for ap in table.pairs[q]:
                 pairs.append({
                     "positions": [ap.p + 1, ap.r + 1],
                     "sign": ap.sign,
@@ -126,7 +126,7 @@ def build_cross_section_report(spec: cs.CrossSectionSpec,
     sys = jacobi_system(lam)
     doc["jacobi_system"] = format_system(sys)
     try:
-        branches = cs.solve_branch_fixtures(spec, sys, domain)
+        branches = cs.solve_branch_fixtures(spec, sys)
     except UnsupportedShapeError as exc:
         doc["branches_error"] = str(exc)
         return doc
@@ -143,7 +143,7 @@ def build_cross_section_report(spec: cs.CrossSectionSpec,
             entry["curve"] = branch.curve.render()
             entry["samples"] = [
                 _vector_display(vec.values, spec.p)
-                for _, vec in cs.curve_samples(spec, branch, domain=domain)
+                for _, vec in cs.curve_samples(spec, branch)
             ]
         rendered.append(entry)
     doc["branches"] = rendered

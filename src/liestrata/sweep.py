@@ -177,6 +177,7 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
         for first in firsts:
             tasks.append((n, k, first, obstruction, classification,
                           discard_obstructed, want_cls))
+    workers = pool_size(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for block in pool.map(_block, tasks, chunksize=4):
@@ -184,6 +185,11 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
     else:
         for task in tasks:
             yield from _block(task)
+
+
+def pool_size(workers: int, tasks: int) -> int:
+    """The worker processes worth starting: no more than the tasks or CPUs."""
+    return min(workers, tasks, os.cpu_count() or 1)
 
 
 def workers_from_env(default: int = 1) -> int:

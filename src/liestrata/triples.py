@@ -2,7 +2,8 @@
 
 All indices are 1-based in external formats.  Index sets keep their triples
 in dictionary order, and every vector or matrix indexed by an index set uses
-that order.  Everything here is immutable.
+that order.  Everything here is immutable, so a value derived from one
+object alone can be kept on it (see ``memo``).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -33,6 +35,20 @@ class Triple(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.i},{self.j},{self.k})"
+
+
+def memo(fn):
+    """fn(x) computed once per immutable x and kept in x.__dict__, as
+    functools.cached_property does, so it lives exactly as long as x.
+    The key is dotted, never an attribute name; exceptions are not kept."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memoized(x):
+        if key not in x.__dict__:
+            x.__dict__[key] = fn(x)
+        return x.__dict__[key]
+    return memoized
 
 
 def check_triple(t: Triple, n: int, mode: str = THETA) -> None:
@@ -103,15 +119,17 @@ def index_set_from_json(doc) -> IndexSet:
     "triples": [[i,j,k], ...]} with integer n and entries; mode optional."""
     if not isinstance(doc, dict):
         raise MalformedInputError("an index set must be a JSON object")
-    n, raw = doc.get("n"), doc.get("triples")
+    n, raw, mode = doc.get("n"), doc.get("triples"), doc.get("mode", THETA)
     if type(n) is not int:
         raise MalformedInputError('"n" must be an integer')
+    if not isinstance(mode, str):
+        raise MalformedInputError('"mode" must be a string')
     if not isinstance(raw, list) or not all(
             isinstance(t, list) and len(t) == 3
             and all(type(x) is int for x in t) for t in raw):
         raise MalformedInputError(
             '"triples" must be a list of [i, j, k] integer lists')
-    return validate_index_set(raw, n, doc.get("mode", THETA))
+    return validate_index_set(raw, n, mode)
 
 
 def parse_index_set(text: str) -> IndexSet:
@@ -138,17 +156,17 @@ def parse_index_set(text: str) -> IndexSet:
         else:
             triple_src.append(segment)
     if n is None:
-        raise OrderViolationError("missing 'n=' segment in index-set text")
+        raise MalformedInputError("missing 'n=' segment in index-set text")
     raw = []
     for chunk in " ".join(triple_src).replace(")", ") ").split():
         chunk = chunk.strip()
         if not chunk:
             continue
         if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise OrderViolationError(f"bad triple token {chunk!r}")
+            raise MalformedInputError(f"bad triple token {chunk!r}")
         parts = chunk[1:-1].split(",")
         if len(parts) != 3:
-            raise OrderViolationError(f"bad triple token {chunk!r}")
+            raise MalformedInputError(f"bad triple token {chunk!r}")
         raw.append(tuple(int(p) for p in parts))
     return validate_index_set(raw, n, mode)
 

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from liestrata import (CapExceededError, MalformedInputError, enumerate_theta,
                        gf2_coset_transversal, parse_index_set)
-from liestrata import cli, linalg
+from liestrata import cli, linalg, sweep
 from liestrata.linalg import GF2Matrix
-from liestrata.sweep import WORKERS_ENV
+from liestrata.sweep import WORKERS_ENV, pool_size
 
-from conftest import ONE_QUAD_MULT2
+from conftest import (FILIFORM4, MULT2_PLUS_MULT3, ONE_QUAD_MULT2,
+                      ONE_QUAD_MULT3, TWO_QUADS_MULT2)
 
 
 def run_main(argv, stdin=""):
@@ -38,9 +39,15 @@ BAD_VECTORS = [
     {"n": 4, "triples": [[1, 2, 3]], "vectors": [1]},
     {"n": 4, "triples": [[1, 2, 3]], "vectors": {"a": [0.5]}},
 ]
+# a mode that is no string is a malformed shape, not an unknown mode
+BAD_MODES = [
+    {"n": 4, "mode": None, "triples": []},
+    {"n": 4, "mode": [], "triples": []},
+    {"n": 4, "mode": {}, "triples": []},
+]
 
 
-@pytest.mark.parametrize("doc", BAD_INDEX_SETS + BAD_VECTORS)
+@pytest.mark.parametrize("doc", BAD_INDEX_SETS + BAD_VECTORS + BAD_MODES)
 @pytest.mark.parametrize("command", ["analyze", "isomorphic", "jacobi"])
 def test_malformed_json_exits_2(command, doc):
     rc, out, err = run_main([command, "-"], json.dumps(doc))
@@ -48,10 +55,17 @@ def test_malformed_json_exits_2(command, doc):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("doc", BAD_INDEX_SETS)
+@pytest.mark.parametrize("doc", BAD_INDEX_SETS + BAD_MODES)
 def test_parse_index_set_rejects_malformed_json(doc):
     with pytest.raises(MalformedInputError):
         parse_index_set(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["(1,2,3)", "n=4; (1,2)", "n=4; (1,2,3,4)",
+                                  "n=4; 1,2,3"])
+def test_parse_index_set_rejects_malformed_text(text):
+    with pytest.raises(MalformedInputError):
+        parse_index_set(text)
 
 
 def test_json_and_text_inputs_agree():
@@ -110,6 +124,52 @@ def test_parser_is_built_once_and_sweeps_read_the_environment(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "junk")
     assert run_main(["sweep", "--n", "4"])[0] == 0
     assert seen == [1, 2, 3, 1]
+
+
+# ---------------------------------------------------------------------------
+# The sweep's process pool is no larger than its tasks or the CPUs
+# ---------------------------------------------------------------------------
+
+SIZES = (0, 1, 2, 3, 7, 10**6)
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 3, 64, 10**6])
+def test_pool_size_is_clamped(monkeypatch, cpus):
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    for workers in SIZES[1:]:
+        for tasks in SIZES:
+            size = pool_size(workers, tasks)
+            assert size <= min(workers, tasks, cpus or 1)
+            if workers <= tasks and workers <= (cpus or 1):
+                assert size == workers
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cpus, started", [(2, [2]), (1, [])])
+def test_sweep_asks_for_a_clamped_pool(monkeypatch, cpus, started):
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    serial = list(sweep.sweep_strata(5, size=3))
+    assert list(sweep.sweep_strata(5, size=3, workers=10**6)) == serial
+    assert RecordingPool.sizes == started
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +253,47 @@ SOURCES = st.one_of(
     TOKENS)
 
 
-@pytest.mark.parametrize("command", ["analyze", "isomorphic", "jacobi"])
+@pytest.mark.parametrize("command",
+                         ["analyze", "isomorphic", "jacobi", "cross-section"])
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(source=SOURCES)
 def test_fuzzed_inputs_keep_the_exit_code_contract(command, source):
     rc, _, err = run_main([command, "-"], source)
+    assert rc in (0, 2, 3)
+    if rc:
+        assert err.startswith("error: ")
+
+
+STRATA = [FILIFORM4, ONE_QUAD_MULT2, ONE_QUAD_MULT3, MULT2_PLUS_MULT3,
+          TWO_QUADS_MULT2]
+RATIONAL = st.sampled_from(["1", "2", "1/2", "3/7", " 5 ", "-1", "0", "1/0",
+                            "nan", "inf", "x", "", "1e3", "2e-3", "--"]) \
+    | st.text(alphabet="0123456789/-. x", max_size=6)
+
+
+@st.composite
+def cross_section_argv(draw):
+    """A stratum and cross-section options, each option left out or given;
+    the center has one entry per triple, give or take one, mostly valid."""
+    text = draw(st.sampled_from(STRATA))
+    length = len(parse_index_set(text)) + draw(st.sampled_from([-1, 0, 0, 1]))
+    center = [draw(RATIONAL) if draw(st.integers(0, 7)) == 0
+              else draw(st.sampled_from(["1", "2", "3/2", "1/3"]))
+              for _ in range(length)]
+    argv = ["cross-section", "-"]
+    for flag, value in (("--center", draw(st.sampled_from([",", " "]))
+                         .join(center)),
+                        ("--exponent", draw(RATIONAL)), ("--c", draw(RATIONAL))):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+    return argv, text
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=cross_section_argv())
+def test_fuzzed_cross_section_options_keep_the_exit_code_contract(case):
+    argv, text = case
+    rc, _, err = run_main(argv, text)
     assert rc in (0, 2, 3)
     if rc:
         assert err.startswith("error: ")
