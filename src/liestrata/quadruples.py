@@ -164,7 +164,7 @@ class QuadrupleTable:
     Each quadruple's pairs are in (p, r) order, the order they are built in.
     """
 
-    lam: IndexSet
+    triples: tuple[Triple, ...]  # not the set, which memoizes the table
     pairs: dict[Quadruple, tuple[AlignedPair, ...]]
 
     @property
@@ -191,7 +191,7 @@ class QuadrupleTable:
 
 @memo
 def quadruple_table(lam: IndexSet) -> QuadrupleTable:
-    """All aligned pairs of lam grouped by quadruple, with signs."""
+    """All aligned pairs of lam by quadruple, with signs; shared, read-only."""
     lam.require_theta("quadruple table")
     grouped: dict[Quadruple, list[AlignedPair]] = {}
     ts = lam.triples
@@ -202,14 +202,14 @@ def quadruple_table(lam: IndexSet) -> QuadrupleTable:
                 continue
             quad, sign = info
             grouped.setdefault(quad, []).append(AlignedPair(p, r, sign))
-    return QuadrupleTable(lam, {q: tuple(v) for q, v in grouped.items()})
+    return QuadrupleTable(ts, {q: tuple(v) for q, v in grouped.items()})
 
 
 def common_triples(q1: Quadruple, q2: Quadruple,
                    table: QuadrupleTable) -> list[Triple]:
     """Triples participating in an aligned pair of both quadruples."""
     shared = table.participants(q1) & table.participants(q2)
-    return [table.lam.triples[pos] for pos in sorted(shared)]
+    return [table.triples[pos] for pos in sorted(shared)]
 
 
 def w_vector(m1: int, m2: int, m3: int, m4: int, length: int) -> IntVector:

@@ -39,8 +39,9 @@ class Triple(NamedTuple):
 
 def memo(fn):
     """fn(x) computed once per immutable x and kept in x.__dict__, as
-    functools.cached_property does, so it lives exactly as long as x.
-    The key is dotted, never an attribute name; exceptions are not kept."""
+    functools.cached_property does; exceptions are not kept. The key is
+    dotted, never an attribute name. The value is shared and read-only, and
+    must not refer to x, so that x is still freed by its reference count."""
     key = f"{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -367,13 +368,25 @@ def random_domain_spec(rng: random.Random) -> CrossSectionSpec:
     return CrossSectionSpec(lam, a0, W, Fraction(1), ())
 
 
+def domains_by_lp_and(oracle, spec):
+    """delta_domain of spec, and of an equal fresh spec with the oracle in
+    place of the redundancy LP. The fresh spec has no memoized domain, so
+    the oracle must run; it is asked exactly what the LP was asked."""
+    with mock.patch.object(cross_sections, "_implied",
+                           wraps=cross_sections._implied) as lp:
+        by_lp = delta_domain(spec)
+    with mock.patch.object(cross_sections, "_implied", wraps=oracle) as other:
+        by_oracle = delta_domain(dataclasses.replace(spec))
+    assert by_oracle is not by_lp
+    assert other.call_args_list == lp.call_args_list
+    return by_lp, by_oracle
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_domain_redundancy_lp_matches_fourier_motzkin(seed):
     spec = random_domain_spec(random.Random(seed))
-    by_lp = delta_domain(spec)
-    with mock.patch.object(cross_sections, "_implied", fm_implied):
-        by_fm = delta_domain(spec)
+    by_lp, by_fm = domains_by_lp_and(fm_implied, spec)
     assert by_lp.inequalities == by_fm.inequalities
 
 
@@ -416,9 +429,7 @@ def test_integer_lp_matches_fraction_simplex_high_dim(seed):
         others = rows[:i] + rows[i + 1:]
         assert cross_sections._implied(q, others) == \
             fraction_implied(q, others)
-    by_integer = delta_domain(spec)
-    with mock.patch.object(cross_sections, "_implied", fraction_implied):
-        by_fraction = delta_domain(spec)
+    by_integer, by_fraction = domains_by_lp_and(fraction_implied, spec)
     assert by_integer.inequalities == by_fraction.inequalities
 
 

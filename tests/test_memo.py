@@ -5,8 +5,10 @@ an index set, and the positivity domain of a cross section, are each kept
 on the object they were computed from (``triples.memo``).
 """
 
+import gc
 import pickle
 import sys
+import weakref
 
 import pytest
 
@@ -75,3 +77,20 @@ def test_memo_does_not_keep_exceptions():
         with pytest.raises(ModeError):
             quadruple_table(lam)
 
+
+
+def test_memo_leaves_no_reference_cycle():
+    # with the cycle collector off, a set or spec is freed only if nothing
+    # kept on it refers back to it
+    lam = parse_index_set(ONE_QUAD_MULT3)
+    spec = cross_section(lam)
+    build_analysis_report(lam, with_cross_section=True)
+    build_cross_section_report(spec)
+    quadruples.classify(lam)
+    refs = weakref.ref(lam), weakref.ref(spec)
+    gc.disable()
+    try:
+        del lam, spec
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
