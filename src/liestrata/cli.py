@@ -15,9 +15,8 @@ from functools import lru_cache
 
 from . import cross_sections as cs
 from .errors import (CapExceededError, DimensionMismatchError,
-                     DuplicateTripleError, IndexOutOfRangeError,
-                     MalformedInputError, ModeError, OrderViolationError,
-                     OutsideDomainError, StratumError, UnsupportedShapeError,
+                     MalformedInputError, ModeError, OutsideDomainError,
+                     StratumError, UnsupportedShapeError,
                      WNotQuadrupleDerivedError)
 from .jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
                      OBSTRUCTION_NONTRIVIAL)
@@ -28,11 +27,10 @@ from .sweep import WORKERS_ENV, sweep_counts, sweep_strata, workers_from_env
 from .triples import (IndexSet, StructureVector, index_set_from_json,
                       parse_index_set, structure_vector)
 
-INPUT_ERRORS = (IndexOutOfRangeError, OrderViolationError,
-                DuplicateTripleError, DimensionMismatchError,
-                json.JSONDecodeError, ValueError, KeyError, OSError)
 PRECONDITION_ERRORS = (ModeError, CapExceededError, OutsideDomainError,
                        UnsupportedShapeError, WNotQuadrupleDerivedError)
+# every other StratumError is an input error
+INPUT_ERRORS = (StratumError, json.JSONDecodeError, OSError)
 
 OBSTRUCTION_FILTERS = (OBSTRUCTION_EMPTY, OBSTRUCTION_AUTOMATIC,
                        OBSTRUCTION_NONTRIVIAL)
@@ -42,25 +40,26 @@ CLASSIFICATION_FILTERS = tuple(c for c in CLASSIFICATIONS
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path}: not UTF-8 text ({exc.reason})") \
+            from None
 
 
 def _fraction(text) -> Fraction:
     """An exact rational from the command line or an input file.
 
-    A zero denominator is a malformed literal like any other, so it raises
-    ValueError (exit 2) instead of ZeroDivisionError.  A value that is no
-    string, as argparse on Python 3.11 makes ``--c=--`` into [], raises
-    MalformedInputError (exit 2) instead of TypeError.
+    A bad literal and a zero denominator raise MalformedInputError (exit 2).
     """
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-    except TypeError:
+        raise MalformedInputError(f"zero denominator in {text!r}") from None
+    except ValueError:
         raise MalformedInputError(f"not a rational number: {text!r}") from None
 
 
@@ -104,7 +103,7 @@ def _emit(doc: dict, fmt: str) -> None:
 
 def _spec_from_args(lam: IndexSet, args) -> cs.CrossSectionSpec:
     a0 = None
-    if args.center:
+    if args.center is not None:
         a0 = [_fraction(x) for chunk in args.center.split(",")
               for x in chunk.split()]
     return cs.cross_section(lam, a0=a0, p=_fraction(args.exponent))
@@ -219,7 +218,7 @@ def cmd_sweep(args) -> int:
         elif name in CLASSIFICATION_FILTERS:
             classification = name
         else:
-            raise ValueError(f"unknown filter {args.filter!r}")
+            raise MalformedInputError(f"unknown filter {args.filter!r}")
     stream = sweep_strata(
         args.n, max_size=args.max_size, size=args.size, cap=args.cap,
         obstruction=obstruction, classification=classification,
@@ -307,14 +306,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse on Python 3.11 reads --opt=-- as [], skipping the option's
+        # type; no option here takes a list
+        for name, value in vars(args).items():
+            if value == []:
+                raise MalformedInputError(
+                    f"--{name.replace('_', '-')} needs a value")
         return args.func(args)
     except PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StratumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

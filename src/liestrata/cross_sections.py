@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import lcm, log
 from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatchError, ModeError, NotAlignedError,
@@ -190,11 +190,11 @@ def _implied(candidate: LinearInequality,
     # primitive and slack_i = k_i + c_i . t
     tab = []
     for i, q in enumerate(others):
-        k, *c = primitive((q.const, *q.coeffs))
+        k, *c = _row(q)
         slack = [0] * m
         slack[i] = 1
         tab.append([-x for x in c] + c + slack + [k])
-    k, *c = primitive((candidate.const, *candidate.coeffs))
+    k, *c = _row(candidate)
     tab.append([-x for x in c] + c + [0] * m + [k])  # the objective row
     basis = list(range(2 * d, width))
     det = 1
@@ -228,6 +228,12 @@ def _implied(candidate: LinearInequality,
             return False  # the candidate's value went negative
 
 
+@memo
+def _row(q: LinearInequality) -> IntVector:
+    """q's (const, *coeffs) made primitive, kept on q."""
+    return primitive((q.const, *q.coeffs))
+
+
 # ---------------------------------------------------------------------------
 # Slice points
 # ---------------------------------------------------------------------------
@@ -245,8 +251,11 @@ def _slice_values(spec: CrossSectionSpec, params: Sequence) -> tuple[Fraction, .
     ts = [Fraction(t) for t in params]
     if len(ts) != spec.dim:
         raise DimensionMismatchError(f"expected {spec.dim} parameters")
-    return tuple(a + sum(t * w[k] for t, w in zip(ts, spec.W))
-                 for k, a in enumerate(spec.a0))
+    den = lcm(*[t.denominator for t in ts])
+    nums = [t.numerator * (den // t.denominator) for t in ts]
+    return tuple(a + Fraction(s, den) if s else a for a, s in zip(
+        spec.a0, [sum(n * w[k] for n, w in zip(nums, spec.W))
+                  for k in range(len(spec.a0))]))
 
 
 def sigma_point(spec: CrossSectionSpec, sign: Sequence[int],
@@ -293,31 +302,32 @@ def f_value(spec: CrossSectionSpec, c, params: Sequence) -> tuple[float, ...]:
 def f_jacobian(spec: CrossSectionSpec, params: Sequence,
                c=Fraction(1)) -> tuple[tuple[Fraction, ...], ...]:
     """Exact Jacobian: entry (i, j) is c * sum_k W_i[k] W_j[k] / a_k."""
-    mags = point_at(spec, params)
+    rows, den = _jacobian_numerators(spec, params)
     cf = Fraction(c)
-    d = spec.dim
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            total = Fraction(0)
-            for k in range(len(mags)):
-                prod = spec.W[i][k] * spec.W[j][k]
-                if prod:
-                    total += Fraction(prod) / mags[k]
-            row.append(cf * total)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(cf * Fraction(x, den) for x in row) for row in rows)
 
 
 def dominance_certificate(spec: CrossSectionSpec, params: Sequence) -> bool:
     """Strict diagonal dominance of the exact Jacobian at one point."""
-    jac = f_jacobian(spec, params)
-    for i, row in enumerate(jac):
-        off = sum(abs(x) for j, x in enumerate(row) if j != i)
-        if not row[i] > off:
-            return False
-    return True
+    rows, _ = _jacobian_numerators(spec, params)
+    return all(row[i] > sum(abs(x) for j, x in enumerate(row) if j != i)
+               for i, row in enumerate(rows))
+
+
+def _jacobian_numerators(spec: CrossSectionSpec, params: Sequence
+                         ) -> tuple[list[list[int]], int]:
+    """The Jacobian at c = 1 as integer rows over one denominator den > 0,
+    the lcm of the magnitudes' numerators: den / a_k is an integer.  Only
+    the upper triangle is summed; the matrix is symmetric."""
+    mags = point_at(spec, params)
+    den = lcm(*[a.numerator for a in mags])
+    scaled = [[w[k] * a.denominator * (den // a.numerator)
+               for k, a in enumerate(mags)] for w in spec.W]
+    rows = [[0] * spec.dim for _ in spec.W]
+    for i, u in enumerate(scaled):
+        for j in range(i, spec.dim):
+            rows[i][j] = rows[j][i] = sum(x * y for x, y in zip(u, spec.W[j]))
+    return rows, den
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,7 @@ def parse_index_set(text: str) -> IndexSet:
         if not segment:
             continue
         if segment.startswith("n="):
-            n = int(segment[2:])
+            n = _integer(segment[2:], segment)
         elif segment.startswith("mode="):
             mode = segment[5:].strip()
         else:
@@ -168,8 +168,15 @@ def parse_index_set(text: str) -> IndexSet:
         parts = chunk[1:-1].split(",")
         if len(parts) != 3:
             raise MalformedInputError(f"bad triple token {chunk!r}")
-        raw.append(tuple(int(p) for p in parts))
+        raw.append(tuple(_integer(p, chunk) for p in parts))
     return validate_index_set(raw, n, mode)
+
+
+def _integer(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInputError(f"bad integer in {where!r}") from None
 
 
 def index_set_document(lam: IndexSet) -> dict:

@@ -1,0 +1,45 @@
+"""The Fraction cross-section arithmetic: the independent oracle for the
+slice points and Jacobian that cross_sections computes over integers with
+one common denominator.
+
+Every magnitude and every Jacobian entry is built term by term as a
+Fraction, so nothing here shares a denominator or a triangle with the
+fast path.
+"""
+
+from fractions import Fraction
+
+
+def slice_values(spec, params):
+    """a0 + sum t_i W_i, one Fraction product at a time."""
+    ts = [Fraction(t) for t in params]
+    return tuple(a + sum(t * w[k] for t, w in zip(ts, spec.W))
+                 for k, a in enumerate(spec.a0))
+
+
+def jacobian(spec, params, c=Fraction(1)):
+    """Entry (i, j) is c * sum_k W_i[k] W_j[k] / a_k, every entry summed."""
+    mags = slice_values(spec, params)
+    cf = Fraction(c)
+    d = spec.dim
+    out = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            total = Fraction(0)
+            for k in range(len(mags)):
+                prod = spec.W[i][k] * spec.W[j][k]
+                if prod:
+                    total += Fraction(prod) / mags[k]
+            row.append(cf * total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def dominant(jac) -> bool:
+    """Strict diagonal dominance of a Fraction matrix."""
+    for i, row in enumerate(jac):
+        off = sum(abs(x) for j, x in enumerate(row) if j != i)
+        if not row[i] > off:
+            return False
+    return True

@@ -20,6 +20,7 @@ from liestrata.cross_sections import (CrossSectionSpec, LinearInequality,
                                       branch_polynomial)
 from liestrata.triples import IndexSet, enumerate_theta
 
+import jacobian_oracle
 from conftest import random_index_set, random_rational
 from fm_oracle import fm_implied, fm_line_meets_domain
 from lp_oracle import fraction_implied
@@ -431,6 +432,51 @@ def test_integer_lp_matches_fraction_simplex_high_dim(seed):
             fraction_implied(q, others)
     by_integer, by_fraction = domains_by_lp_and(fraction_implied, spec)
     assert by_integer.inequalities == by_fraction.inequalities
+
+
+def jacobian_spec(rng: random.Random) -> CrossSectionSpec:
+    """A high_dim_domain_spec, or in a third of the cases the same centers
+    with W = (w, +-w, unit directions off the support of w), whose Jacobian
+    meets diagonal dominance with equality in the rows of w and +-w."""
+    spec = high_dim_domain_spec(rng)
+    if rng.random() < 1 / 3:
+        m = len(spec.a0)
+        support = rng.sample(range(m), rng.randint(1, 3))
+        w = tuple(rng.choice((-2, -1, 1, 3)) if k in support else 0
+                  for k in range(m))
+        units = [tuple(int(k == j) for k in range(m))
+                 for j in range(m) if j not in support]
+        spec = dataclasses.replace(spec, W=(
+            w, tuple(rng.choice((1, -1)) * x for x in w),
+            *units[:rng.randint(0, 3)]))
+    return spec
+
+
+def params_inside(rng: random.Random, spec: CrossSectionSpec) -> list:
+    """The center, or parameters halved until the slice is positive."""
+    if rng.random() < 0.25:
+        return [Fraction(0)] * spec.dim
+    params = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+              for _ in range(spec.dim)]
+    while any(v <= 0 for v in jacobian_oracle.slice_values(spec, params)):
+        params = [t / 2 for t in params]
+    return params
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from([Fraction(1), Fraction(-3, 2), Fraction(0),
+                        Fraction(5, 7)]))
+def test_integer_slice_and_jacobian_match_fraction_oracle(seed, c):
+    rng = random.Random(seed)
+    spec = jacobian_spec(rng)
+    params = params_inside(rng, spec)
+    assert point_at(spec, params) == \
+        jacobian_oracle.slice_values(spec, params)
+    assert f_jacobian(spec, params, c) == \
+        jacobian_oracle.jacobian(spec, params, c)
+    assert dominance_certificate(spec, params) == \
+        jacobian_oracle.dominant(jacobian_oracle.jacobian(spec, params))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -62,10 +62,68 @@ def test_parse_index_set_rejects_malformed_json(doc):
 
 
 @pytest.mark.parametrize("text", ["(1,2,3)", "n=4; (1,2)", "n=4; (1,2,3,4)",
-                                  "n=4; 1,2,3"])
+                                  "n=4; 1,2,3", "n=4x; (1,2,3)", "n=; (1,2,3)",
+                                  "n=4; (1,x,3)", "n=4; (1,2,3.0)",
+                                  pytest.param("n=" + "9" * 5000,
+                                               id="n=<5000 digits>")])
 def test_parse_index_set_rejects_malformed_text(text):
     with pytest.raises(MalformedInputError):
         parse_index_set(text)
+
+
+# ---------------------------------------------------------------------------
+# Every input error is a MalformedInputError or another StratumError
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["x", "1/0", "nan", "inf", "", "--"])
+def test_bad_rational_is_malformed_input(text):
+    with pytest.raises(MalformedInputError):
+        cli._fraction(text)
+
+
+# argparse on Python 3.11 reads --opt=-- as []
+@pytest.mark.parametrize("argv", [["cross-section", "-", "--center="],
+                                  ["cross-section", "-", "--center=--"],
+                                  ["cross-section", "-", "--c=--"],
+                                  ["sweep", "--n=--"],
+                                  ["sweep", "--n", "4", "--filter=--"],
+                                  ["sweep", "--n", "4", "--filter", "bogus"]])
+def test_malformed_option_exits_2(argv):
+    rc, out, err = run_main(argv, ONE_QUAD_MULT2)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+LATIN1 = "n=4; (1,2,3)  # caf\u00e9".encode("latin-1")
+
+
+def test_non_utf8_input_file_exits_2(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(LATIN1)
+    rc, out, err = run_main(["analyze", str(path)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+def test_non_utf8_stdin_exits_2():
+    stdin = io.TextIOWrapper(io.BytesIO(LATIN1), encoding="utf-8")
+    err = io.StringIO()
+    with mock.patch("sys.stdin", stdin), redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        assert cli.main(["analyze", "-"]) == 2
+    assert err.getvalue().startswith("error: -: not UTF-8")
+
+
+def test_a_program_fault_is_not_an_input_error(monkeypatch):
+    # a bare ValueError or KeyError from inside a command is a bug: it must
+    # surface, not exit 2 as if the input were at fault
+    for exc in (ValueError, KeyError):
+        def broken(*args, **kwargs):
+            raise exc("bug")
+        monkeypatch.setattr(cli, "build_analysis_report", broken)
+        with pytest.raises(exc):
+            run_main(["analyze", "-"], FILIFORM4)
 
 
 def test_json_and_text_inputs_agree():
@@ -100,6 +158,19 @@ def test_transversal_cap_stops_a_huge_analysis():
     assert "2^23" in err
     rc, _, _ = run_main(["cross-section", "-"], text)
     assert rc == 3
+
+
+def test_sweep_ceiling_is_checked_before_the_pair_table(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"pair table built for n={n}")
+    monkeypatch.setattr(sweep, "_pair_cache", refuse)
+    rc, out, err = run_main(["sweep", "--n", "40", "--size", "1",
+                             "--cap", "40"])
+    assert rc == 3 and out == ""
+    assert err.startswith("error: ") and str(sweep.MAX_N) in err
+    with pytest.raises(CapExceededError):
+        next(sweep.sweep_strata(sweep.MAX_N + 1, size=1, cap=10**6))
+    sweep._check_caps(sweep.MAX_N, None, 1, sweep.MAX_N)
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +368,53 @@ def test_fuzzed_cross_section_options_keep_the_exit_code_contract(case):
     assert rc in (0, 2, 3)
     if rc:
         assert err.startswith("error: ")
+
+
+INT_JUNK = st.sampled_from(["", "x", "1.5", "--", "1e3", "0x10", " 3 ", "-"])
+FILTER = st.sampled_from(list(cli.OBSTRUCTION_FILTERS)
+                         + list(cli.CLASSIFICATION_FILTERS)) \
+    | st.sampled_from(["Finite-1Q2", "EMPTY", "", "--", "bogus"])
+
+
+@st.composite
+def sweep_argv(draw):
+    """sweep options, each left out, valid or junk; the work stays small:
+    n <= 5, or n = 6 with an exact size of at most 2."""
+    n = draw(st.integers(-1, 6))
+    argv = ["sweep"]
+    values = {"--n": draw(st.sampled_from([str(n), str(n), None])
+                          | INT_JUNK),
+              "--size": draw(st.none() | st.integers(-1, 4).map(str)
+                             | INT_JUNK),
+              "--max-size": draw(st.none() | st.integers(-1, 12).map(str)
+                                 | INT_JUNK),
+              "--cap": draw(st.none() | st.integers(-1, 9).map(str)
+                            | INT_JUNK),
+              "--filter": draw(st.none() | FILTER)}
+    if values["--n"] == "6":
+        values["--size"] = str(draw(st.integers(-1, 2)))
+    for flag, value in values.items():
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    if draw(st.booleans()):
+        argv.append("--discard-obstructed")
+    argv += ["--format", draw(st.sampled_from(["text", "structured"]))]
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(argv=sweep_argv())
+def test_fuzzed_sweep_options_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects an option's value
+            rc = exc.code
+            assert rc == 2 and ": error: " in err.getvalue()
+    assert rc in (0, 2, 3)
+    if rc:
+        assert "error: " in err.getvalue()
+    elif "structured" in argv:
+        doc = json.loads(out.getvalue())
+        assert doc["counts"]["total"] == len(doc["strata"])
