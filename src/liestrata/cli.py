@@ -24,7 +24,8 @@ from .quadruples import CLASSIFICATIONS
 from .report import (build_analysis_report, build_cross_section_report,
                      build_isomorphism_report, render_text, SWEEP_SCHEMA)
 from .sweep import WORKERS_ENV, sweep_counts, sweep_strata, workers_from_env
-from .triples import (IndexSet, StructureVector, index_set_from_json,
+from .triples import (IndexSet, StructureVector, decode_json,
+                      index_set_document, index_set_from_json,
                       parse_index_set, structure_vector)
 
 PRECONDITION_ERRORS = (ModeError, CapExceededError, OutsideDomainError,
@@ -67,7 +68,7 @@ def load_input(path: str) -> tuple[IndexSet, dict[str, StructureVector]]:
     """Index set plus named structure vectors from a text or JSON file."""
     text = _read_source(path).strip()
     if text.startswith("{"):
-        doc = json.loads(text)
+        doc = decode_json(text)
         lam = index_set_from_json(doc)
         raw = doc.get("vectors", {})
         if not isinstance(raw, dict) or not all(
@@ -123,8 +124,7 @@ def cmd_jacobi(args) -> int:
     sys_ = jacobi_system(lam)
     doc = {
         "schema": "jacobi-report/1",
-        "n": lam.n, "mode": lam.mode,
-        "triples": [list(t) for t in lam.triples],
+        **index_set_document(lam),
         "obstruction": obstruction_status(lam),
         "equations": format_system(sys_),
     }

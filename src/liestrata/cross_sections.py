@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, log
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatchError, ModeError, NotAlignedError,
@@ -21,8 +22,8 @@ from .errors import (DimensionMismatchError, ModeError, NotAlignedError,
 from .jacobi import JacobiSystem, is_lie, jacobi_system
 from .linalg import (IntVector, kernel_basis, primitive, root_matrix,
                      span_equals, transpose, transversal)
-from .poly import (Poly, add_univar, eval_univar, mul_univar, rational_roots,
-                   trim)
+from .poly import (Poly, add_univar, degree_in, eval_univar, evaluate,
+                   mul_univar, rational_roots, trim, univariate_in)
 from .quadruples import quadruple_of
 from .triples import IndexSet, StructureVector, memo
 
@@ -457,20 +458,29 @@ class BranchSolution:
 
 def branch_polynomial(spec: CrossSectionSpec, equation,
                       sign: Sequence[int]) -> tuple[Poly, list[int]]:
-    """Substitute the masked slice into one equation; also return term signs."""
+    """Substitute the masked slice into one equation; also return term signs.
+
+    Each term tau * x_p * x_r, with x = a0 + sum_i t_i W_i, is expanded
+    straight into the coefficient dict.
+    """
     d = spec.dim
-    affines = {}
-    poly = Poly.constant(0, d)
+    zero = (0,) * d
+    units = [tuple(int(i == v) for i in range(d)) for v in range(d)]
+
+    def affine(pos):
+        return [(zero, spec.a0[pos])] + [
+            (u, w[pos]) for u, w in zip(units, spec.W) if w[pos]]
+
+    poly: dict = {}
     tsigns = []
     for esign, p, r in equation.terms:
-        for pos in (p, r):
-            if pos not in affines:
-                affines[pos] = Poly.affine(spec.a0[pos],
-                                           [w[pos] for w in spec.W], d)
         tau = esign * (-1 if sign[p] else 1) * (-1 if sign[r] else 1)
         tsigns.append(tau)
-        poly = poly + (affines[p] * affines[r]).scale(tau)
-    return poly, tsigns
+        for e1, c1 in affine(p):
+            for e2, c2 in affine(r):
+                e = tuple(map(add, e1, e2))
+                poly[e] = poly.get(e, 0) + tau * c1 * c2
+    return {e: Fraction(c) for e, c in poly.items() if c}, tsigns
 
 
 def solve_branch_fixtures(spec: CrossSectionSpec,
@@ -504,7 +514,7 @@ def _solve_one_branch(spec: CrossSectionSpec, sys: JacobiSystem,
         if tsigns and len(set(tsigns)) == 1:
             return BranchSolution(sign, INCONSISTENT,
                                   note="all terms share one sign")
-        if not poly.is_zero():
+        if poly:
             polys.append(poly)
     if not polys:
         if d == 0:
@@ -523,7 +533,7 @@ def _solve_univariate(polys: list[Poly], sign, domain) -> BranchSolution:
     common: set[Fraction] | None = None
     for poly in polys:
         coeffs = [buck[0] if buck else Fraction(0)
-                  for buck in poly.univariate_in(0)]
+                  for buck in univariate_in(poly, 0)]
         roots = set(rational_roots(coeffs))
         common = roots if common is None else common & roots
     return _admissible(sign, [(r,) for r in common or ()], domain)
@@ -541,8 +551,8 @@ def _admissible(sign, points: Iterable[tuple[Fraction, ...]],
 def _linear_solve_var(poly: Poly) -> tuple[int, list[Fraction], list[Fraction]] | None:
     """Find a variable of degree one: poly = den(u)*v + (-num(u))."""
     for v in (0, 1):
-        if poly.degree_in(v) == 1:
-            buckets = poly.univariate_in(v)
+        if degree_in(poly, v) == 1:
+            buckets = univariate_in(poly, v)
             den = trim(list(buckets[1]))
             num = [-c for c in buckets[0]]
             if den:
@@ -553,7 +563,7 @@ def _linear_solve_var(poly: Poly) -> tuple[int, list[Fraction], list[Fraction]] 
 def _substitute_curve(poly: Poly, solve_var: int, num: list[Fraction],
                       den: list[Fraction]) -> list[Fraction]:
     """Numerator of poly after v := num/den, cleared by den^deg."""
-    buckets = poly.univariate_in(solve_var)
+    buckets = univariate_in(poly, solve_var)
     deg = len(buckets) - 1
     total: list[Fraction] = []
     for e, coeff in enumerate(buckets):
@@ -596,7 +606,7 @@ def _solve_bivariate(polys: list[Poly], sign, domain) -> BranchSolution:
             break
         # a genuinely univariate equation fixes one variable outright
         for v in (0, 1):
-            if poly.degree_in(1 - v) == 0 and poly.degree_in(v) >= 1:
+            if degree_in(poly, 1 - v) == 0 and degree_in(poly, v) >= 1:
                 return _solve_with_fixed_var(polys, idx, v, sign, domain)
     if pick is None:
         raise UnsupportedShapeError(
@@ -629,7 +639,7 @@ def _solve_bivariate(polys: list[Poly], sign, domain) -> BranchSolution:
             points.extend(den_points)
             continue
         if domain.contains(params) and \
-                all(p.evaluate(params) == 0 for p in polys):
+                all(evaluate(p, params) == 0 for p in polys):
             points.append(params)
     return _admissible(sign, points, domain)
 
@@ -637,7 +647,8 @@ def _solve_bivariate(polys: list[Poly], sign, domain) -> BranchSolution:
 def _solve_with_fixed_var(polys: list[Poly], idx: int, v: int, sign,
                           domain) -> BranchSolution:
     poly = polys[idx]
-    coeffs = [buck[0] if buck else Fraction(0) for buck in poly.univariate_in(v)]
+    coeffs = [buck[0] if buck else Fraction(0)
+              for buck in univariate_in(poly, v)]
     points = []
     for root in rational_roots(coeffs):
         points.extend(_solve_on_vertical_line(polys, v, root))
@@ -651,7 +662,7 @@ def _solve_on_vertical_line(polys: list[Poly], fixed_var: int,
     common: set[Fraction] | None = None
     unconstrained = True
     for poly in polys:
-        buckets = poly.univariate_in(other)
+        buckets = univariate_in(poly, other)
         coeffs = trim([eval_univar(b, value) if b else Fraction(0)
                        for b in buckets])
         if not coeffs:

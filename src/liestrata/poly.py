@@ -1,9 +1,10 @@
 """Tiny exact polynomial arithmetic for branch solving.
 
-Multivariate polynomials are dicts from exponent tuples to Fractions; the
-branch solver only ever needs total degree two in at most two variables, so
-nothing here tries to be clever.  Univariate polynomials travel as ascending
-coefficient lists.
+A multivariate polynomial is a plain dict that maps exponent tuples (one
+entry per variable) to its nonzero Fraction coefficients; the empty dict is
+the zero polynomial.  The branch solver only ever needs total degree two in
+at most two variables, so nothing here tries to be clever.  Univariate
+polynomials travel as ascending coefficient lists.
 """
 
 from __future__ import annotations
@@ -24,97 +25,41 @@ from .linalg import primitive
 # the single digits.
 ROOT_COEFF_CAP = 10 ** 6
 
+Poly = dict[tuple[int, ...], Fraction]
 
-class Poly:
-    """Polynomial over Q in a fixed number of variables."""
 
-    __slots__ = ("nvars", "coeffs")
+def degree_in(poly: Poly, v: int) -> int:
+    return max((e[v] for e in poly), default=0)
 
-    def __init__(self, nvars: int, coeffs: dict[tuple[int, ...], Fraction]):
-        self.nvars = nvars
-        self.coeffs = {e: c for e, c in coeffs.items() if c != 0}
 
-    @staticmethod
-    def constant(value, nvars: int) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: Fraction(value)})
+def univariate_in(poly: Poly, v: int) -> list[list[Fraction]]:
+    """Coefficient lists in the remaining variable, indexed by power of v.
 
-    @staticmethod
-    def affine(const, lin: Sequence, nvars: int) -> "Poly":
-        coeffs = {(0,) * nvars: Fraction(const)}
-        for v, c in enumerate(lin):
-            e = [0] * nvars
-            e[v] = 1
-            coeffs[tuple(e)] = Fraction(c)
-        return Poly(nvars, coeffs)
+    Only valid for at most two variables; with one variable the inner lists
+    are constants.
+    """
+    nvars = len(next(iter(poly), ()))
+    if nvars > 2:
+        raise UnsupportedShapeError("more than two parameters")
+    other = 1 - v if nvars == 2 else None
+    out: list[list[Fraction]] = [[] for _ in range(degree_in(poly, v) + 1)]
+    for e, c in poly.items():
+        oe = e[other] if other is not None else 0
+        bucket = out[e[v]]
+        while len(bucket) <= oe:
+            bucket.append(Fraction(0))
+        bucket[oe] += c
+    return [trim(b) for b in out]
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(self.nvars, out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, out)
-
-    def scale(self, factor) -> "Poly":
-        f = Fraction(factor)
-        return Poly(self.nvars, {e: c * f for e, c in self.coeffs.items()})
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        vals = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            term = c
-            for v, exp in enumerate(e):
-                for _ in range(exp):
-                    term *= vals[v]
-            total += term
-        return total
-
-    def degree_in(self, v: int) -> int:
-        return max((e[v] for e in self.coeffs), default=0)
-
-    def univariate_in(self, v: int) -> list[list[Fraction]]:
-        """Coefficient lists in the remaining variable, indexed by power of v.
-
-        Only valid for nvars <= 2; with one variable the inner lists are
-        constants.
-        """
-        if self.nvars > 2:
-            raise UnsupportedShapeError("more than two parameters")
-        other = 1 - v if self.nvars == 2 else None
-        out: list[list[Fraction]] = [[] for _ in range(self.degree_in(v) + 1)]
-        for e, c in self.coeffs.items():
-            oe = e[other] if other is not None else 0
-            bucket = out[e[v]]
-            while len(bucket) <= oe:
-                bucket.append(Fraction(0))
-            bucket[oe] += c
-        return [trim(b) for b in out]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.nvars == other.nvars \
-            and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
-
-    def __repr__(self) -> str:
-        return f"Poly({self.nvars}, {self.coeffs!r})"
+def evaluate(poly: Poly, point: Sequence) -> Fraction:
+    vals = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for e, c in poly.items():
+        for x, k in zip(vals, e):
+            c *= x ** k
+        total += c
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,6 @@ def fractions_as_strings(values: Sequence[Fraction]) -> list[str]:
     return [str(v) for v in values]
 
 
-def _vector_display(values: Sequence[Fraction], p: Fraction) -> list[str]:
-    if p == 1:
-        return [str(v) for v in values]
-    return [cs.display_value(v, p) for v in values]
-
-
 def build_analysis_report(lam: IndexSet,
                           with_cross_section: bool = False) -> dict:
     yhat = gf2_root_matrix(lam)
@@ -142,13 +136,13 @@ def build_cross_section_report(spec: cs.CrossSectionSpec,
         if branch.curve is not None:
             entry["curve"] = branch.curve.render()
             entry["samples"] = [
-                _vector_display(vec.values, spec.p)
+                [cs.display_value(v, spec.p) for v in vec.values]
                 for _, vec in cs.curve_samples(spec, branch)
             ]
         rendered.append(entry)
     doc["branches"] = rendered
     for vec in cs.lie_points(spec, branches):
-        points.append(_vector_display(vec.values, spec.p))
+        points.append([cs.display_value(v, spec.p) for v in vec.values])
     doc["lie_points"] = points
     return doc
 

@@ -173,7 +173,12 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
                  discard_obstructed: bool = False,
                  workers: int = 1) -> Iterator[StratumSummary]:
     """Yield matching strata in (size, lexicographic) order, classified
-    for n <= 6 or under a classification filter."""
+    for n <= 6 or under a classification filter.
+
+    The caps are checked and the pair table is built by the call itself, so
+    a refused sweep raises before its caller has written anything; the
+    returned generator then walks the blocks.
+    """
     _check_caps(n, max_size, size, cap)
     theta, _ = _pair_cache(n)
     want_cls = n <= 6 or classification is not None
@@ -183,7 +188,10 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
         for first in firsts:
             tasks.append((n, k, first, obstruction, classification,
                           discard_obstructed, want_cls))
-    workers = pool_size(workers, len(tasks))
+    return _walk_blocks(tasks, pool_size(workers, len(tasks)))
+
+
+def _walk_blocks(tasks: list, workers: int) -> Iterator[StratumSummary]:
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for block in pool.map(_block, tasks, chunksize=4):

@@ -182,8 +182,8 @@ def test_c05_mult2_plus_mult3():
     want2 = {(0, 2, 0): Fraction(-2), (0, 1, 1): Fraction(-2),
              (1, 0, 0): Fraction(-1), (0, 0, 1): Fraction(5),
              (1, 0, 1): Fraction(-1)}
-    assert p1.coeffs in (want1, {e: -c for e, c in want1.items()})
-    assert p2.coeffs in (want2, {e: -c for e, c in want2.items()})
+    assert p1 in (want1, {e: -c for e, c in want1.items()})
+    assert p2 in (want2, {e: -c for e, c in want2.items()})
 
     jac = f_jacobian(spec, [0, 0, 0])
     assert jac == ((Fraction(3), Fraction(0), Fraction(-1, 2)),

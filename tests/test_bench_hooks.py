@@ -6,6 +6,7 @@ executed here, never modified, and no bytecode is cached next to it.
 """
 
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -43,3 +44,10 @@ def test_summarize_counts_every_enumerated_stratum(monkeypatch):
     list(sweep.sweep_strata(5, size=3, classification="finite-1q2",
                             workers=1))
     assert tracer.counters["sweep.strata_enumerated"] == 240
+
+
+def test_sweep_strata_returns_a_generator():
+    # the tracer pulls items one span at a time and closes what it got
+    stream = sweep.sweep_strata(5, size=3, workers=1)
+    assert inspect.isgenerator(stream)
+    stream.close()

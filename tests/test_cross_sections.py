@@ -13,13 +13,15 @@ from liestrata import (OutsideDomainError, UnsupportedShapeError,
                        f_jacobian, f_value, jacobi_system, left_null_basis,
                        lemma58_certificate, lie_points, point_at, sigma_point,
                        solve_branch_fixtures, structure_vector, w_vector)
-from liestrata import cross_sections
+from liestrata import cross_sections, parse_index_set
+from liestrata.linalg import kernel_basis
 from liestrata.cross_sections import (CrossSectionSpec, LinearInequality,
                                       PolytopeDomain,
                                       _vertical_line_meets_domain,
                                       branch_polynomial)
 from liestrata.triples import IndexSet, enumerate_theta
 
+import conftest
 import jacobian_oracle
 from conftest import random_index_set, random_rational
 from fm_oracle import fm_implied, fm_line_meets_domain
@@ -309,7 +311,48 @@ def test_branch_polynomials_mult2_plus_mult3(mult2_plus_mult3):
              (0, 0, 1): fr(5), (1, 0, 1): fr(-1)}
     for got, want in ((p1, want1), (p2, want2)):
         neg = {e: -c for e, c in want.items()}
-        assert got.coeffs in (want, neg)
+        assert got in (want, neg)
+
+
+FIXTURES = (conftest.FILIFORM4, conftest.HEISENBERG5, conftest.ONE_QUAD_MULT2,
+            conftest.ONE_QUAD_MULT3, conftest.MULT2_PLUS_MULT3,
+            conftest.TWO_QUADS_MULT2, conftest.ONE_QUAD_NON_SPANNING,
+            conftest.DIM7)
+
+
+def masked_slice_residual(spec, equation, sign, t):
+    """Sum of esign * y_p * y_r at y = the sign-masked x = a0 + sum t_i W_i,
+    computed entry by entry with no polynomial."""
+    x = [a + sum(ti * w[k] for ti, w in zip(t, spec.W))
+         for k, a in enumerate(spec.a0)]
+    y = [-v if bit else v for v, bit in zip(x, sign)]
+    return sum(esign * y[p] * y[r] for esign, p, r in equation.terms)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_branch_polynomial_matches_direct_substitution(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        lam = parse_index_set(rng.choice(FIXTURES))
+    else:
+        lam = random_index_set(rng, n_max=7, size_max=9)
+        while len(kernel_basis(lam)) > 3 or not jacobi_system(lam).equations:
+            lam = random_index_set(rng, n_max=7, size_max=9)
+    center = [Fraction(rng.randint(1, 9), rng.randint(1, 5))
+              for _ in lam.triples]
+    spec = cross_section(lam, a0=center)
+    for eq in jacobi_system(lam).equations:
+        for _ in range(3):
+            sign = tuple(rng.randint(0, 1) for _ in lam.triples)
+            poly, _ = branch_polynomial(spec, eq, sign)
+            assert all(len(e) == spec.dim for e in poly)
+            assert all(type(c) is Fraction and c != 0 for c in poly.values())
+            for _ in range(2):
+                t = [random_rational(rng) for _ in range(spec.dim)]
+                value = sum(c * math.prod(ti ** k for ti, k in zip(t, e))
+                            for e, c in poly.items())
+                assert value == masked_slice_residual(spec, eq, sign, t)
 
 
 def test_boundedness_kernel_orthogonal_to_ones():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from liestrata import (CapExceededError, MalformedInputError, enumerate_theta,
                        gf2_coset_transversal, parse_index_set)
-from liestrata import cli, linalg, sweep
+from liestrata import cli, linalg, sweep, triples
 from liestrata.linalg import GF2Matrix
 from liestrata.sweep import WORKERS_ENV, pool_size
 
@@ -171,6 +171,56 @@ def test_sweep_ceiling_is_checked_before_the_pair_table(monkeypatch):
     with pytest.raises(CapExceededError):
         next(sweep.sweep_strata(sweep.MAX_N + 1, size=1, cap=10**6))
     sweep._check_caps(sweep.MAX_N, None, 1, sweep.MAX_N)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--n", "9", "--size", "1"], 3),
+    (["--n", "7"], 3),
+    (["--n", "17", "--size", "1", "--cap", "20"], 3),
+    (["--n", "0"], 2),
+])
+def test_refused_structured_sweep_writes_nothing(argv, code):
+    rc, out, err = run_main(["sweep", *argv, "--format", "structured"])
+    assert rc == code and out == ""
+    assert err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# Outside input is bounded: nesting depth of JSON, and n
+# ---------------------------------------------------------------------------
+
+
+DEEP_JSON = '{"n": ' + "[" * 100_000
+
+
+@pytest.mark.parametrize("command",
+                         ["analyze", "jacobi", "isomorphic", "cross-section"])
+def test_deeply_nested_json_exits_2(command):
+    rc, out, err = run_main([command, "-"], DEEP_JSON)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "nested" in err
+
+
+def test_parse_index_set_rejects_deeply_nested_json():
+    with pytest.raises(MalformedInputError):
+        parse_index_set(DEEP_JSON)
+
+
+@pytest.mark.parametrize("command",
+                         ["analyze", "jacobi", "isomorphic", "cross-section"])
+def test_input_ceiling_on_n(command):
+    top = triples.MAX_INPUT_N
+    vectors = "\na: 1\nb: 1\n"
+    for n in (top + 1, 10**9):
+        for text in (f"n={n}; (1,2,3)",
+                     json.dumps({"n": n, "triples": [[1, 2, 3]]})):
+            with pytest.raises(CapExceededError):
+                parse_index_set(text)
+        rc, out, err = run_main([command, "-"], f"n={n}; (1,2,3)" + vectors)
+        assert rc == 3 and out == ""
+        assert err.startswith("error: ") and str(top) in err
+    rc, out, _ = run_main([command, "-"], f"n={top}; (1,2,3)" + vectors)
+    assert rc == 0 and out
 
 
 # ---------------------------------------------------------------------------
