@@ -21,10 +21,10 @@ from .errors import (CapExceededError, DimensionMismatchError,
 from .jacobi import (JacobiEquation, JacobiSystem, brute_force_jacobiator,
                      evaluate_jacobi, format_system, is_lie, jacobi_system,
                      obstruction_status)
-from .linalg import (GF2Matrix, gf2_column_space_contains,
-                     gf2_coset_transversal, gf2_rank, gf2_root_matrix,
-                     in_column_space, left_null_basis, rank, root_matrix,
-                     root_vector, span_equals)
+from .linalg import (gf2_column_space_contains, gf2_coset_transversal,
+                     gf2_rank, gf2_root_matrix, in_column_space,
+                     left_null_basis, rank, root_matrix, root_vector,
+                     span_equals)
 from .orbits import (ISOMORPHISM_CAVEAT, apply_diagonal, d_orbit_equivalent,
                      magnitude_orbit_equivalent, orbit_verdict,
                      sign_orbit_equivalent)

@@ -20,8 +20,8 @@ from .errors import (DimensionMismatchError, ModeError, NotAlignedError,
                      OutsideDomainError, UnsupportedShapeError,
                      WNotQuadrupleDerivedError)
 from .jacobi import JacobiSystem, is_lie, jacobi_system
-from .linalg import (IntVector, kernel_basis, primitive, root_matrix,
-                     span_equals, transpose, transversal)
+from .linalg import (IntVector, gf2_coset_transversal, kernel_basis,
+                     primitive, root_matrix, span_equals, transpose)
 from .poly import (Poly, add_univar, degree_in, eval_univar, evaluate,
                    mul_univar, rational_roots, trim, univariate_in)
 from .quadruples import quadruple_of
@@ -70,7 +70,7 @@ def cross_section(lam: IndexSet, a0: Sequence | None = None,
     p = Fraction(p)
     if p == 0:
         raise OutsideDomainError("exponent must be nonzero")
-    trans = tuple(tuple(t) for t in T) if T is not None else transversal(lam)
+    trans = gf2_coset_transversal(lam) if T is None else tuple(map(tuple, T))
     spec = CrossSectionSpec(lam, center, dirs, p, trans)
     if require_lie_center and not center_is_lie(spec):
         raise OutsideDomainError(

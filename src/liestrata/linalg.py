@@ -3,16 +3,15 @@
 Rank, kernels and spans are computed by fraction-free (Bareiss) elimination
 over the integers; rational input rows are first scaled to integer rows.
 Kernels and spans come out as primitive integer vectors in a canonical
-echelon-derived form.  GF(2) rows
-are packed into machine-word integers, bit ``c`` of a row holding column
-``c``.  No floating point anywhere.
+echelon-derived form.  Over GF(2) the root matrix is stored by columns,
+each packed into an integer word whose bit ``r`` holds row ``r``, and
+reduced once per index set.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, DimensionMismatchError
@@ -192,91 +191,49 @@ def span_equals(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> boo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GF2Matrix:
-    """Rows over Z2 packed as integers; bit c of a row is column c."""
+@memo
+def gf2_column_space(lam: IndexSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Echelon basis of the column space of lam's root matrix mod 2, as
+    m-bit words (bit r is row r), and the pivot row of each basis word.
 
-    rows: tuple[int, ...]
-    ncols: int
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def row_bits(self, r: int) -> tuple[int, ...]:
-        return tuple((self.rows[r] >> c) & 1 for c in range(self.ncols))
-
-    def dense(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.row_bits(r) for r in range(self.nrows))
-
-    def column(self, c: int) -> int:
-        """Column c packed as an nrows-bit integer."""
-        word = 0
-        for r, row in enumerate(self.rows):
-            word |= ((row >> c) & 1) << r
-        return word
-
-
-def gf2_from_dense(rows: Sequence[Sequence[int]], ncols: int | None = None) -> GF2Matrix:
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    return GF2Matrix(tuple(_pack_bits(row) for row in rows), ncols)
-
-
-def gf2_root_matrix(lam: IndexSet) -> GF2Matrix:
-    """Root matrix reduced entrywise mod 2."""
-    return gf2_from_dense(root_matrix(lam), lam.n)
-
-
-def _gf2_eliminate(words: list[int], width: int) -> tuple[list[int], list[int]]:
-    """In-place RREF of bitset rows; returns (nonzero rows, pivot columns)."""
+    The n column words come straight from the triples; a coinciding index
+    cancels as it does mod 2.  Each word is reduced against the basis so
+    far and kept, pivoted at its lowest bit, if anything is left; the
+    pivots are then exactly the lowest bits of the column space's nonzero
+    members.
+    """
+    cols = [0] * lam.n
+    for r, t in enumerate(lam.triples):
+        for c in t:
+            cols[c - 1] ^= 1 << r
+    basis: list[int] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(words)) if (words[i] >> c) & 1),
-                     None)
-        if pivot is None:
-            continue
-        words[r], words[pivot] = words[pivot], words[r]
-        for i in range(len(words)):
-            if i != r and (words[i] >> c) & 1:
-                words[i] ^= words[r]
-        pivots.append(c)
-        r += 1
-        if r == len(words):
-            break
-    return words[:r], pivots
+    for word in cols:
+        for b, p in zip(basis, pivots):
+            if (word >> p) & 1:
+                word ^= b
+        if word:
+            basis.append(word)
+            pivots.append((word & -word).bit_length() - 1)
+    return tuple(basis), tuple(pivots)
 
 
-def gf2_rank(mat: GF2Matrix) -> int:
-    return len(_gf2_eliminate(list(mat.rows), mat.ncols)[1])
+def gf2_root_matrix(lam: IndexSet) -> IntMatrix:
+    """Root matrix reduced entrywise mod 2."""
+    return tuple(tuple(x & 1 for x in row) for row in root_matrix(lam))
 
 
-def gf2_column_space(mat: GF2Matrix) -> tuple[list[int], list[int]]:
-    """RREF basis of Col(mat) in Z2^m, as m-bit words, plus pivot coords."""
-    cols = [mat.column(c) for c in range(mat.ncols)]
-    return _gf2_eliminate(cols, mat.nrows)
+def gf2_rank(lam: IndexSet) -> int:
+    return len(gf2_column_space(lam)[1])
 
 
-def _pack_bits(bits: Sequence[int]) -> int:
-    word = 0
-    for i, b in enumerate(bits):
-        word |= (int(b) & 1) << i
-    return word
-
-
-def _unpack_bits(word: int, width: int) -> tuple[int, ...]:
-    return tuple((word >> i) & 1 for i in range(width))
-
-
-def gf2_column_space_contains(mat: GF2Matrix, v: Sequence[int]) -> bool:
-    """Whether the Z2 vector v lies in the span of mat's columns."""
-    if len(v) != mat.nrows:
+def gf2_column_space_contains(lam: IndexSet, v: Sequence[int]) -> bool:
+    """Whether the Z2 vector v lies in the span of lam's GF(2) root columns."""
+    if len(v) != len(lam):
         raise DimensionMismatchError(
-            f"vector length {len(v)} != row count {mat.nrows}")
-    basis, pivots = gf2_column_space(mat)
-    word = _pack_bits(v)
-    for b, p in zip(basis, pivots):
+            f"vector length {len(v)} != row count {len(lam)}")
+    word = sum((int(b) & 1) << i for i, b in enumerate(v))
+    for b, p in zip(*gf2_column_space(lam)):
         if (word >> p) & 1:
             word ^= b
     return word == 0
@@ -288,16 +245,17 @@ def gf2_column_space_contains(mat: GF2Matrix, v: Sequence[int]) -> bool:
 GF2_TRANSVERSAL_CAP = 18
 
 
-def gf2_coset_transversal(mat: GF2Matrix) -> tuple[tuple[int, ...], ...]:
-    """One representative per coset of Col(mat) in Z2^m.
+@memo
+def gf2_coset_transversal(lam: IndexSet) -> tuple[tuple[int, ...], ...]:
+    """One representative per coset of lam's GF(2) column space in Z2^m.
 
     Representatives are exactly the vectors supported on the non-pivot
     coordinates of the reduced column space, i.e. the lexicographically
     least member of each coset with that support; there are 2^(m - rank).
     Raises CapExceededError when m - rank exceeds GF2_TRANSVERSAL_CAP.
     """
-    m = mat.nrows
-    _, pivots = gf2_column_space(mat)
+    m = len(lam)
+    pivots = set(gf2_column_space(lam)[1])
     free = [c for c in range(m) if c not in pivots]
     if len(free) > GF2_TRANSVERSAL_CAP:
         raise CapExceededError(
@@ -305,15 +263,8 @@ def gf2_coset_transversal(mat: GF2Matrix) -> tuple[tuple[int, ...], ...]:
             f"(more than 2^{GF2_TRANSVERSAL_CAP})")
     reps = []
     for mask in range(1 << len(free)):
-        word = 0
+        bits = [0] * m
         for b, coord in enumerate(free):
-            if (mask >> b) & 1:
-                word |= 1 << coord
-        reps.append(_unpack_bits(word, m))
+            bits[coord] = (mask >> b) & 1
+        reps.append(tuple(bits))
     return tuple(reps)
-
-
-@memo
-def transversal(lam: IndexSet) -> tuple[tuple[int, ...], ...]:
-    """gf2_coset_transversal of lam's GF(2) root matrix, once per index set."""
-    return gf2_coset_transversal(gf2_root_matrix(lam))

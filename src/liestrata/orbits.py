@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatchError
-from .linalg import gf2_column_space_contains, gf2_root_matrix, kernel_basis
+from .linalg import gf2_column_space_contains, kernel_basis
 from .triples import StructureVector, sign_vector
 
 ISOMORPHISM_CAVEAT = "assumes-D-orbit-classes"
@@ -58,7 +58,7 @@ def sign_orbit_equivalent(a: StructureVector, b: StructureVector) -> bool:
     """Whether sgn(a) xor sgn(b) lies in the GF(2) column space of the root matrix."""
     _check_same_set(a, b)
     diff = tuple(x ^ y for x, y in zip(sign_vector(a), sign_vector(b)))
-    return gf2_column_space_contains(gf2_root_matrix(a.lam), diff)
+    return gf2_column_space_contains(a.lam, diff)
 
 
 def d_orbit_equivalent(a: StructureVector, b: StructureVector) -> bool:

@@ -15,8 +15,8 @@ from typing import Sequence
 from . import cross_sections as cs
 from .errors import UnsupportedShapeError, WNotQuadrupleDerivedError
 from .jacobi import format_system, jacobi_system, obstruction_status
-from .linalg import (gf2_rank, gf2_root_matrix, kernel_basis, root_matrix,
-                     transversal)
+from .linalg import (gf2_coset_transversal, gf2_rank, gf2_root_matrix,
+                     kernel_basis, root_matrix)
 from .orbits import (ISOMORPHISM_CAVEAT, magnitude_orbit_equivalent,
                      orbit_verdict, sign_orbit_equivalent)
 from .quadruples import classify, lambda_subspace, null_space_spanning, \
@@ -35,17 +35,16 @@ def fractions_as_strings(values: Sequence[Fraction]) -> list[str]:
 
 def build_analysis_report(lam: IndexSet,
                           with_cross_section: bool = False) -> dict:
-    yhat = gf2_root_matrix(lam)
     kernel = kernel_basis(lam)
     doc: dict = {
         "schema": ANALYSIS_SCHEMA,
         **index_set_document(lam),
         "root_matrix": [list(r) for r in root_matrix(lam)],
-        "gf2_root_matrix": [list(r) for r in yhat.dense()],
+        "gf2_root_matrix": [list(r) for r in gf2_root_matrix(lam)],
         "rank": len(lam) - len(kernel),
-        "gf2_rank": gf2_rank(yhat),
+        "gf2_rank": gf2_rank(lam),
         "kernel_basis": [list(w) for w in kernel],
-        "transversal": [list(t) for t in transversal(lam)],
+        "transversal": [list(t) for t in gf2_coset_transversal(lam)],
     }
     if lam.mode == "theta":
         table = quadruple_table(lam)

@@ -85,6 +85,8 @@ class IndexSet:
     mode: str = THETA
 
     def __post_init__(self):
+        if self.n < 1:
+            raise IndexOutOfRangeError("dimension must be at least 1")
         if self.mode not in (THETA, UPSILON):
             raise ModeError(f"unknown mode {self.mode!r}")
         for t in self.triples:
@@ -94,9 +96,6 @@ class IndexSet:
 
     def __len__(self) -> int:
         return len(self.triples)
-
-    def position(self, t: Triple) -> int:
-        return self.triples.index(t)
 
     def require_theta(self, what: str) -> None:
         if self.mode != THETA:

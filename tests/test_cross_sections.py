@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liestrata import (OutsideDomainError, UnsupportedShapeError,
-                       WNotQuadrupleDerivedError, cross_section, curve_samples,
+                       WNotQuadrupleDerivedError, brute_force_jacobiator,
+                       cross_section, curve_samples,
                        delta_domain, dominance_certificate, evaluate_jacobi,
                        f_jacobian, f_value, jacobi_system, left_null_basis,
                        lemma58_certificate, lie_points, point_at, sigma_point,
@@ -606,6 +608,122 @@ def test_branch_solver_random_strata_against_oracle():
                         vec = sigma_point(spec, branch.sign, params)
                         assert not is_lie(sys_, vec)
     assert solved >= 60
+
+
+# ---------------------------------------------------------------------------
+# Rarely taken paths of the branch solver.  No fixture and no recorded
+# stratum reaches them with its canonical cross section; each set, center
+# and pair of kernel directions below came from a seeded search.
+# ---------------------------------------------------------------------------
+
+
+def solve_recording(monkeypatch, spec):
+    """solve_branch_fixtures on spec, recording every call of the fixed
+    variable and vertical line helpers as (helper, caller, result)."""
+    calls = []
+    for name in ("_solve_with_fixed_var", "_solve_on_vertical_line"):
+        def recorded(*args, _name=name, _run=getattr(cross_sections, name)):
+            result = _run(*args)
+            calls.append((_name, sys._getframe(1).f_code.co_name, result))
+            return result
+        monkeypatch.setattr(cross_sections, name, recorded)
+    return solve_branch_fixtures(spec, jacobi_system(spec.lam)), calls
+
+
+def lie_points_by_sign(spec, branches):
+    """The points of every branch, each checked to lie in the domain and to
+    give a Lie algebra by the brute-force Jacobiator."""
+    domain = delta_domain(spec)
+    found = {}
+    for branch in branches:
+        for params in branch.points:
+            assert domain.contains(params)
+            assert brute_force_jacobiator(
+                spec.lam, sigma_point(spec, branch.sign, params))
+        if branch.points:
+            found[branch.sign] = branch.points
+    return found
+
+
+def test_univariate_equation_fixes_a_parameter(monkeypatch):
+    # the first equation has no s and is quadratic in t
+    lam = parse_index_set("n=6; (1,2,5) (1,2,6) (1,3,5) (1,3,6) (2,3,4) "
+                          "(2,3,6) (2,4,5) (2,5,6) (3,4,5) (3,5,6)")
+    spec = cross_section(lam, a0=[2, 3, 2, 1, 2, 1, 3, 1, 2, 1],
+                         W=[(0, 1, 0, -1, 0, 0, -1, 0, 1, 0),
+                            (8, -6, -4, 2, -2, 2, -2, 0, 0, 2)])
+    branches, calls = solve_recording(monkeypatch, spec)
+    assert ("_solve_with_fixed_var", "_solve_bivariate") in \
+        {call[:2] for call in calls}
+    from_line = {pt for name, caller, result in calls
+                 if (name, caller) == ("_solve_on_vertical_line",
+                                       "_solve_with_fixed_var")
+                 for pt in result}
+    assert from_line == {(fr(1, 2), fr(0))}
+    found = lie_points_by_sign(spec, branches)
+    assert len(found) == 4
+    assert set(found.values()) == {((fr(1, 2), fr(0)),)}
+
+
+def test_pole_of_the_curve_is_solved_on_its_vertical_line(monkeypatch):
+    lam = parse_index_set("n=6; (1,2,4) (1,2,6) (1,3,4) (1,4,6) (2,3,4) "
+                          "(2,3,5) (2,3,6) (2,4,5) (2,4,6) (2,5,6) (3,4,5) "
+                          "(3,5,6)")
+    spec = cross_section(lam, W=[(-1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, -1),
+                                 (-2, 2, 3, -3, -1, -1, -1, 1, 2, 0, 0, 0)])
+    branches, calls = solve_recording(monkeypatch, spec)
+    # on the line where the solved equation's coefficient den(u) of v
+    # vanishes, that equation reads num(u) = 0 with num(u) nonzero
+    from_pole = [result for name, caller, result in calls
+                 if (name, caller) == ("_solve_on_vertical_line",
+                                       "_solve_bivariate")]
+    assert len(from_pole) == 8 and not any(from_pole)
+    found = lie_points_by_sign(spec, branches)
+    assert len(found) == 8
+    assert set(found.values()) == {((fr(0), fr(0)),)}
+
+
+@pytest.mark.parametrize("text, a0, W, message", [
+    ("n=5; (1,2,4) (1,2,5) (1,3,5) (1,4,5) (2,3,4) (2,4,5) (3,4,5)",
+     [2, 1, fr(3, 2), 4, 3, 1, 3],
+     [(1, 1, -1, -1, -1, -1, 2), (-3, 2, -2, 3, 3, -2, -1)],
+     "no equation is linear in either parameter"),
+    ("n=5; (1,2,4) (1,2,5) (1,3,4) (1,3,5) (1,4,5) (2,3,5) (2,4,5) (3,4,5)",
+     None, [(0, 2, 0, 2, -4, -4, 2, 2), (1, -1, -1, 1, 0, 0, 0, 0)],
+     "solution set degenerates into several components"),
+    ("n=5; (1,2,4) (1,3,4) (1,3,5) (1,4,5) (2,3,4) (2,3,5) (2,4,5) (3,4,5)",
+     None, [(1, 1, 1, -3, -2, -1, 2, 1), (0, 1, -2, 1, -1, 2, -1, 0)],
+     "a full line of solutions beyond fixture scale"),
+])
+def test_branch_shapes_beyond_fixture_scale_are_refused(monkeypatch, text,
+                                                        a0, W, message):
+    spec = cross_section(parse_index_set(text), a0=a0, W=W)
+    with pytest.raises(UnsupportedShapeError, match=message):
+        solve_recording(monkeypatch, spec)
+
+
+def test_roots_outside_the_domain_leave_a_branch_inconsistent():
+    lam = parse_index_set("n=5; (1,2,4) (1,2,5) (1,3,4) (1,3,5) (1,4,5) "
+                          "(2,3,4) (2,3,5) (2,4,5) (3,4,5)")
+    spec = cross_section(
+        lam, a0=[1, fr(3, 2), fr(3, 2), 1, 4, 2, 3, 2, fr(2, 3)],
+        W=[(0, 0, -2, 2, 0, 2, -2, 0, 0)])
+    branches = solve_branch_fixtures(spec, jacobi_system(lam))
+    notes = [b.note for b in branches if b.status == "inconsistent"]
+    assert notes.count("no admissible roots") == 4
+    found = lie_points_by_sign(spec, branches)
+    assert set(found.values()) == {((fr(-17, 36),),), ((fr(-13, 36),),)}
+
+
+def test_zero_dimensional_slice_off_the_variety(one_quad_mult2):
+    spec = cross_section(one_quad_mult2, a0=[1, 2, 1, 1, 1, 1], W=[])
+    branches = solve_branch_fixtures(spec, jacobi_system(one_quad_mult2))
+    assert [(b.status, b.note) for b in branches] == [
+        ("inconsistent", "nonzero constant residual"),
+        ("inconsistent", "all terms share one sign")]
+    for branch in branches:
+        assert not brute_force_jacobiator(
+            one_quad_mult2, sigma_point(spec, branch.sign, ()))
 
 
 def test_power_invariance_of_magnitude_test():

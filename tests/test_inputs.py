@@ -8,10 +8,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liestrata import (CapExceededError, MalformedInputError, enumerate_theta,
+from liestrata import (CapExceededError, IndexOutOfRangeError,
+                       MalformedInputError, enumerate_theta,
                        gf2_coset_transversal, parse_index_set)
 from liestrata import cli, linalg, sweep, triples
-from liestrata.linalg import GF2Matrix
 from liestrata.sweep import WORKERS_ENV, pool_size
 
 from conftest import (FILIFORM4, MULT2_PLUS_MULT3, ONE_QUAD_MULT2,
@@ -144,10 +144,12 @@ def test_json_and_text_inputs_agree():
 
 def test_transversal_cap_is_checked_before_enumerating(monkeypatch):
     monkeypatch.setattr(linalg, "GF2_TRANSVERSAL_CAP", 3)
-    # no columns: every one of the m coordinates is free
-    assert len(gf2_coset_transversal(GF2Matrix((0, 0, 0), 0))) == 8
+    # the first 8 and 9 triples of Theta_5 leave 3 and 4 free coordinates
+    three, four = (triples.IndexSet(5, tuple(enumerate_theta(5)[:size]))
+                   for size in (8, 9))
+    assert len(gf2_coset_transversal(three)) == 8
     with pytest.raises(CapExceededError):
-        gf2_coset_transversal(GF2Matrix((0, 0, 0, 0), 0))
+        gf2_coset_transversal(four)
 
 
 def test_transversal_cap_stops_a_huge_analysis():
@@ -221,6 +223,30 @@ def test_input_ceiling_on_n(command):
         assert err.startswith("error: ") and str(top) in err
     rc, out, _ = run_main([command, "-"], f"n={top}; (1,2,3)" + vectors)
     assert rc == 0 and out
+
+
+NO_DIMENSION = ["n=0;", "n=-3;", json.dumps({"n": 0, "triples": []})]
+
+
+@pytest.mark.parametrize("text", NO_DIMENSION)
+@pytest.mark.parametrize("command",
+                         ["analyze", "jacobi", "isomorphic", "cross-section"])
+def test_dimension_below_one_exits_2(command, text):
+    rc, out, err = run_main([command, "-"], text)
+    assert (rc, out) == (2, "")
+    assert err == "error: dimension must be at least 1\n"
+
+
+@pytest.mark.parametrize("text", NO_DIMENSION)
+def test_parse_index_set_rejects_dimension_below_one(text):
+    with pytest.raises(IndexOutOfRangeError, match="at least 1"):
+        parse_index_set(text)
+
+
+def test_index_set_rejects_dimension_below_one():
+    for n in (0, -3):
+        with pytest.raises(IndexOutOfRangeError, match="at least 1"):
+            triples.IndexSet(n, ())
 
 
 # ---------------------------------------------------------------------------

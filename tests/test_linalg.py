@@ -5,26 +5,28 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liestrata import (DimensionMismatchError, Triple, gf2_column_space_contains,
-                       gf2_coset_transversal, gf2_rank, gf2_root_matrix,
-                       in_column_space, left_null_basis, rank, root_matrix,
-                       root_vector, span_equals)
+from liestrata import (DimensionMismatchError, Triple, UPSILON,
+                       gf2_column_space_contains, gf2_coset_transversal,
+                       gf2_rank, gf2_root_matrix, in_column_space,
+                       left_null_basis, rank, root_matrix, root_vector,
+                       span_equals, validate_index_set)
 from liestrata.linalg import (gf2_column_space, primitive,
                               primitive_span_basis, transpose)
 
+import gf2_oracle
 import rref_oracle
 from conftest import random_index_set
 from rref_oracle import rref
 
 
-def gf2_coset_representative(mat, v):
-    """The canonical transversal element in the same Col(mat)-coset as v."""
-    basis, pivots = gf2_column_space(mat)
+def gf2_coset_representative(lam, v):
+    """The canonical transversal element in the same Col(Y)-coset as v."""
+    basis, pivots = gf2_column_space(lam)
     word = sum((bit & 1) << i for i, bit in enumerate(v))
     for b, p in zip(basis, pivots):
         if (word >> p) & 1:
             word ^= b
-    return tuple((word >> i) & 1 for i in range(mat.nrows))
+    return tuple((word >> i) & 1 for i in range(len(lam)))
 
 
 def test_root_vector_examples():
@@ -40,7 +42,7 @@ def test_root_vector_coinciding_indices_sum():
 
 def test_root_matrix_filiform4(filiform4):
     assert root_matrix(filiform4) == ((1, 1, -1, 0), (1, 0, 1, -1))
-    assert gf2_root_matrix(filiform4).dense() == ((1, 1, 1, 0), (1, 0, 1, 1))
+    assert gf2_root_matrix(filiform4) == ((1, 1, 1, 0), (1, 0, 1, 1))
 
 
 def test_root_matrix_heisenberg5(heisenberg5):
@@ -75,36 +77,35 @@ def test_in_column_space(one_quad_mult2):
 
 
 def test_gf2_ranks(one_quad_mult2, one_quad_mult3):
-    assert gf2_rank(gf2_root_matrix(one_quad_mult2)) == 5
-    assert gf2_rank(gf2_root_matrix(one_quad_mult3)) == 5
+    assert gf2_rank(one_quad_mult2) == 5
+    assert gf2_rank(one_quad_mult3) == 5
 
 
 def test_gf2_column_space_contains_zero(one_quad_mult2):
-    yhat = gf2_root_matrix(one_quad_mult2)
-    assert gf2_column_space_contains(yhat, [0] * 6)
+    assert gf2_column_space_contains(one_quad_mult2, [0] * 6)
     with pytest.raises(DimensionMismatchError):
-        gf2_column_space_contains(yhat, [0] * 7)
+        gf2_column_space_contains(one_quad_mult2, [0] * 7)
 
 
 def test_transversals_match_fixture_cosets(filiform4, one_quad_mult2,
                                            one_quad_mult3):
-    assert gf2_coset_transversal(gf2_root_matrix(filiform4)) == ((0, 0),)
-    yhat = gf2_root_matrix(one_quad_mult2)
-    trans = gf2_coset_transversal(yhat)
+    assert gf2_coset_transversal(filiform4) == ((0, 0),)
+    trans = gf2_coset_transversal(one_quad_mult2)
     assert len(trans) == 2
     expected = [(0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)]
     for want in expected:
         assert any(gf2_column_space_contains(
-            yhat, tuple(x ^ y for x, y in zip(want, got))) for got in trans)
-    yhat3 = gf2_root_matrix(one_quad_mult3)
-    trans3 = gf2_coset_transversal(yhat3)
+            one_quad_mult2, tuple(x ^ y for x, y in zip(want, got)))
+            for got in trans)
+    trans3 = gf2_coset_transversal(one_quad_mult3)
     assert len(trans3) == 4
     span = [(0,) * 7,
             (0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 0, 1),
             (0, 0, 0, 0, 0, 1, 1)]
     for want in span:
         assert any(gf2_column_space_contains(
-            yhat3, tuple(x ^ y for x, y in zip(want, got))) for got in trans3)
+            one_quad_mult3, tuple(x ^ y for x, y in zip(want, got)))
+            for got in trans3)
 
 
 def test_row_sum_property_random():
@@ -146,27 +147,71 @@ def test_transversal_partitions_exhaustively():
     checked = 0
     while checked < 12:
         lam = random_index_set(rng, n_max=6, size_max=8)
-        yhat = gf2_root_matrix(lam)
-        m = yhat.nrows
+        m = len(lam)
         if m == 0 or m > 12:
             continue
         checked += 1
-        trans = gf2_coset_transversal(yhat)
-        assert len(trans) == 2 ** (m - gf2_rank(yhat))
+        trans = gf2_coset_transversal(lam)
+        assert len(trans) == 2 ** (m - gf2_rank(lam))
         for a in range(len(trans)):
             for b in range(a + 1, len(trans)):
                 diff = tuple(x ^ y for x, y in zip(trans[a], trans[b]))
-                assert not gf2_column_space_contains(yhat, diff)
+                assert not gf2_column_space_contains(lam, diff)
         for word in range(1 << m):
             v = tuple((word >> i) & 1 for i in range(m))
-            rep = gf2_coset_representative(yhat, v)
+            rep = gf2_coset_representative(lam, v)
             assert rep in trans
             matches = [
                 t for t in trans
                 if gf2_column_space_contains(
-                    yhat, tuple(x ^ y for x, y in zip(v, t)))
+                    lam, tuple(x ^ y for x, y in zip(v, t)))
             ]
             assert matches == [rep]
+
+
+def random_upsilon_set(rng):
+    """An upsilon-mode set; most have a triple with k = i or k = j."""
+    n = rng.randint(2, 7)
+    pool = [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            for k in range(1, n + 1)]
+    picks = rng.sample(pool, rng.randint(1, min(10, len(pool))))
+    if rng.random() < 0.8:
+        i, j = sorted(rng.sample(range(1, n + 1), 2))
+        picks = list({*picks, (i, j, rng.choice((i, j)))})
+    return validate_index_set(picks, n, UPSILON)
+
+
+def test_gf2_column_reduction_matches_row_oracle():
+    rng = random.Random(15)
+    coinciding = 0
+    for example in range(400):
+        if example % 2:
+            lam = random_upsilon_set(rng)
+        else:
+            lam = random_index_set(rng)
+        coinciding += any(t.k in (t.i, t.j) for t in lam.triples)
+        y, m, n = root_matrix(lam), len(lam), lam.n
+        assert gf2_root_matrix(lam) == tuple(tuple(x % 2 for x in row)
+                                             for row in y)
+        oracle_rank = gf2_oracle.rank(y, n)
+        assert gf2_rank(lam) == oracle_rank
+        picked = [c for c in range(n) if rng.randrange(2)]
+        vectors = [(0,) * m,
+                   tuple(sum(row[c] for c in picked) % 2 for row in y)]
+        vectors += [tuple(rng.randrange(2) for _ in range(m))
+                    for _ in range(3)]
+        for v in vectors:
+            assert gf2_column_space_contains(lam, v) == \
+                gf2_oracle.column_space_contains(y, n, v)
+        if m - oracle_rank <= 4:
+            trans = gf2_coset_transversal(lam)
+            assert trans == gf2_oracle.coset_transversal(y, n)
+            assert len(trans) == 2 ** (m - oracle_rank)
+            for a in range(len(trans)):
+                for b in range(a + 1, len(trans)):
+                    diff = tuple(x ^ z for x, z in zip(trans[a], trans[b]))
+                    assert not gf2_oracle.column_space_contains(y, n, diff)
+    assert coinciding >= 150
 
 
 def test_span_equals_basics():
