@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -51,17 +52,36 @@ def _read_source(path: str) -> str:
             from None
 
 
+# Most digits of a rational literal's numerator and denominator, and so the
+# largest exponent: CPython's default int-string limit.  Beyond it a value
+# cannot be printed, and a large exponent alone takes unbounded time to
+# expand.
+MAX_LITERAL_DIGITS = 4300
+_LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+
+
 def _fraction(text) -> Fraction:
     """An exact rational from the command line or an input file.
 
-    A bad literal and a zero denominator raise MalformedInputError (exit 2).
+    A bad literal, a zero denominator, an exponent above
+    MAX_LITERAL_DIGITS and a numerator or denominator of more digits raise
+    MalformedInputError (exit 2).  The exponent is checked before it is
+    expanded.
     """
     try:
-        return Fraction(text)
+        exp = _EXPONENT.search(str(text))
+        if exp and abs(int(exp[1])) > MAX_LITERAL_DIGITS:
+            raise MalformedInputError(f"exponent too large in {text!r}")
+        value = Fraction(text)
     except ZeroDivisionError:
         raise MalformedInputError(f"zero denominator in {text!r}") from None
     except ValueError:
         raise MalformedInputError(f"not a rational number: {text!r}") from None
+    if max(abs(value.numerator), value.denominator) >= _LITERAL_BOUND:
+        raise MalformedInputError(
+            f"more than {MAX_LITERAL_DIGITS} digits in {text!r}")
+    return value
 
 
 def load_input(path: str) -> tuple[IndexSet, dict[str, StructureVector]]:

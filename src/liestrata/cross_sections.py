@@ -23,7 +23,7 @@ from .jacobi import JacobiSystem, is_lie, jacobi_system
 from .linalg import (IntVector, gf2_coset_transversal, kernel_basis,
                      primitive, root_matrix, span_equals, transpose)
 from .poly import (Poly, add_univar, degree_in, eval_univar, evaluate,
-                   mul_univar, rational_roots, trim, univariate_in)
+                   mul_univar, rational_roots, univariate_in)
 from .quadruples import quadruple_of
 from .triples import IndexSet, StructureVector, memo
 
@@ -61,8 +61,12 @@ def cross_section(lam: IndexSet, a0: Sequence | None = None,
         dirs = kernel_basis(lam)
     else:
         yt = transpose(root_matrix(lam))
-        dirs = tuple(tuple(int(x) for x in w) for w in W)
-        for w in dirs:
+        given = [tuple(w) for w in W]
+        dirs = tuple(tuple(int(x) for x in w) for w in given)
+        for w, exact in zip(dirs, given):
+            if w != exact:
+                raise DimensionMismatchError(
+                    "direction entries must be integers")
             if len(w) != m:
                 raise DimensionMismatchError("direction length mismatch")
             if any(sum(row[k] * w[k] for k in range(m)) != 0 for row in yt):
@@ -525,18 +529,32 @@ def _solve_one_branch(spec: CrossSectionSpec, sys: JacobiSystem,
         return BranchSolution(sign, INCONSISTENT,
                               note="nonzero constant residual")
     if d == 1:
-        return _solve_univariate(polys, sign, domain)
+        roots = _common_roots(_restrict(p, 0) for p in polys)
+        return _admissible(sign, [(r,) for r in roots], domain)
     return _solve_bivariate(polys, sign, domain)
 
 
-def _solve_univariate(polys: list[Poly], sign, domain) -> BranchSolution:
-    common: set[Fraction] | None = None
-    for poly in polys:
-        coeffs = [buck[0] if buck else Fraction(0)
-                  for buck in univariate_in(poly, 0)]
-        roots = set(rational_roots(coeffs))
-        common = roots if common is None else common & roots
-    return _admissible(sign, [(r,) for r in common or ()], domain)
+def _restrict(poly: Poly, v: int, value=0) -> list[Fraction]:
+    """poly's coefficients in parameter v, the other parameter set to value."""
+    return [eval_univar(b, value) for b in univariate_in(poly, v)]
+
+
+def _common_roots(univariates: Iterable[Sequence[Fraction]]
+                  ) -> set[Fraction] | None:
+    """The rational roots common to the nonzero polynomials, or None when
+    every polynomial is zero.
+
+    It stops at the first empty intersection: rational_roots returns only
+    once it has every real root, so no later polynomial can add one.
+    """
+    common = None
+    for coeffs in univariates:
+        if any(coeffs):
+            roots = set(rational_roots(coeffs))
+            common = roots if common is None else common & roots
+            if not common:
+                break
+    return common
 
 
 def _admissible(sign, points: Iterable[tuple[Fraction, ...]],
@@ -552,11 +570,8 @@ def _linear_solve_var(poly: Poly) -> tuple[int, list[Fraction], list[Fraction]] 
     """Find a variable of degree one: poly = den(u)*v + (-num(u))."""
     for v in (0, 1):
         if degree_in(poly, v) == 1:
-            buckets = univariate_in(poly, v)
-            den = trim(list(buckets[1]))
-            num = [-c for c in buckets[0]]
-            if den:
-                return v, trim(num), den
+            low, den = univariate_in(poly, v)
+            return v, [-c for c in low], den
     return None
 
 
@@ -566,14 +581,13 @@ def _substitute_curve(poly: Poly, solve_var: int, num: list[Fraction],
     buckets = univariate_in(poly, solve_var)
     deg = len(buckets) - 1
     total: list[Fraction] = []
-    for e, coeff in enumerate(buckets):
-        term = list(coeff) if coeff else []
+    for e, term in enumerate(buckets):
         for _ in range(e):
             term = mul_univar(term, num)
         for _ in range(deg - e):
             term = mul_univar(term, den)
         total = add_univar(total, term)
-    return trim(total)
+    return total
 
 
 def _vertical_line_meets_domain(domain: PolytopeDomain, free_var: int,
@@ -607,7 +621,9 @@ def _solve_bivariate(polys: list[Poly], sign, domain) -> BranchSolution:
         # a genuinely univariate equation fixes one variable outright
         for v in (0, 1):
             if degree_in(poly, 1 - v) == 0 and degree_in(poly, v) >= 1:
-                return _solve_with_fixed_var(polys, idx, v, sign, domain)
+                return _admissible(sign, [
+                    pt for root in rational_roots(_restrict(poly, v))
+                    for pt in _solve_on_vertical_line(polys, v, root)], domain)
     if pick is None:
         raise UnsupportedShapeError(
             "no equation is linear in either parameter")
@@ -621,37 +637,16 @@ def _solve_bivariate(polys: list[Poly], sign, domain) -> BranchSolution:
                 _vertical_line_meets_domain(domain, free_var, den_root):
             raise UnsupportedShapeError(
                 "solution set degenerates into several components")
-    others = [p for i, p in enumerate(polys) if i != idx]
-    reduced = [_substitute_curve(p, solve_var, num, den) for p in others]
-    if all(not r for r in reduced):
+    candidates = _common_roots(_substitute_curve(p, solve_var, num, den)
+                               for i, p in enumerate(polys) if i != idx)
+    if candidates is None:
         return BranchSolution(sign, CURVE, curve=curve)
-    candidates: set[Fraction] | None = None
-    for r in reduced:
-        if not r:
-            continue
-        roots = set(rational_roots(r))
-        candidates = roots if candidates is None else candidates & roots
     points = []
-    for x in sorted(candidates or set()):
+    for x in sorted(candidates):
         params = curve.params(x)
-        if params is None:
-            den_points = _solve_on_vertical_line(polys, free_var, x)
-            points.extend(den_points)
-            continue
-        if domain.contains(params) and \
-                all(evaluate(p, params) == 0 for p in polys):
+        # None at a pole: num(x) != 0 there, or its line misses the domain
+        if params is not None and all(evaluate(p, params) == 0 for p in polys):
             points.append(params)
-    return _admissible(sign, points, domain)
-
-
-def _solve_with_fixed_var(polys: list[Poly], idx: int, v: int, sign,
-                          domain) -> BranchSolution:
-    poly = polys[idx]
-    coeffs = [buck[0] if buck else Fraction(0)
-              for buck in univariate_in(poly, v)]
-    points = []
-    for root in rational_roots(coeffs):
-        points.extend(_solve_on_vertical_line(polys, v, root))
     return _admissible(sign, points, domain)
 
 
@@ -659,29 +654,11 @@ def _solve_on_vertical_line(polys: list[Poly], fixed_var: int,
                             value: Fraction) -> list[tuple[Fraction, ...]]:
     """Common rational zeros on {params[fixed_var] = value}."""
     other = 1 - fixed_var
-    common: set[Fraction] | None = None
-    unconstrained = True
-    for poly in polys:
-        buckets = univariate_in(poly, other)
-        coeffs = trim([eval_univar(b, value) if b else Fraction(0)
-                       for b in buckets])
-        if not coeffs:
-            continue
-        unconstrained = False
-        if len(coeffs) == 1:
-            return []  # nonzero constant, no solutions on this line
-        roots = set(rational_roots(coeffs))
-        common = roots if common is None else common & roots
-    if unconstrained:
+    common = _common_roots(_restrict(p, other, value) for p in polys)
+    if common is None:
         raise UnsupportedShapeError(
             "a full line of solutions beyond fixture scale")
-    out = []
-    for r in sorted(common or set()):
-        params = [Fraction(0), Fraction(0)]
-        params[fixed_var] = value
-        params[other] = r
-        out.append(tuple(params))
-    return out
+    return [(value, r) if other else (r, value) for r in sorted(common)]
 
 
 def lie_points(spec: CrossSectionSpec,

@@ -65,12 +65,14 @@ def d_orbit_equivalent(a: StructureVector, b: StructureVector) -> bool:
     return magnitude_orbit_equivalent(a, b) and sign_orbit_equivalent(a, b)
 
 
+# CLI verdict string by (magnitude test, sign test)
+VERDICTS = {(True, True): "equivalent",
+            (False, True): "distinct (magnitude)",
+            (True, False): "distinct (sign)",
+            (False, False): "distinct (both)"}
+
+
 def orbit_verdict(a: StructureVector, b: StructureVector) -> str:
     """CLI verdict string with the failing component spelled out."""
-    mag = magnitude_orbit_equivalent(a, b)
-    sgn = sign_orbit_equivalent(a, b)
-    if mag and sgn:
-        return "equivalent"
-    if not mag and not sgn:
-        return "distinct (both)"
-    return "distinct (magnitude)" if not mag else "distinct (sign)"
+    return VERDICTS[magnitude_orbit_equivalent(a, b),
+                    sign_orbit_equivalent(a, b)]

@@ -17,8 +17,8 @@ from .errors import UnsupportedShapeError, WNotQuadrupleDerivedError
 from .jacobi import format_system, jacobi_system, obstruction_status
 from .linalg import (gf2_coset_transversal, gf2_rank, gf2_root_matrix,
                      kernel_basis, root_matrix)
-from .orbits import (ISOMORPHISM_CAVEAT, magnitude_orbit_equivalent,
-                     orbit_verdict, sign_orbit_equivalent)
+from .orbits import (ISOMORPHISM_CAVEAT, VERDICTS,
+                     magnitude_orbit_equivalent, sign_orbit_equivalent)
 from .quadruples import classify, lambda_subspace, null_space_spanning, \
     quadruple_table
 from .triples import IndexSet, StructureVector, index_set_document
@@ -77,14 +77,16 @@ def build_analysis_report(lam: IndexSet,
 
 
 def build_isomorphism_report(a: StructureVector, b: StructureVector) -> dict:
+    mag = magnitude_orbit_equivalent(a, b)
+    sgn = sign_orbit_equivalent(a, b)
     return {
         "schema": ISOMORPHISM_SCHEMA,
         **index_set_document(a.lam),
         "a": a.serialize(),
         "b": b.serialize(),
-        "magnitude_equivalent": magnitude_orbit_equivalent(a, b),
-        "sign_equivalent": sign_orbit_equivalent(a, b),
-        "verdict": orbit_verdict(a, b),
+        "magnitude_equivalent": mag,
+        "sign_equivalent": sgn,
+        "verdict": VERDICTS[mag, sgn],
         "caveat": ISOMORPHISM_CAVEAT,
     }
 

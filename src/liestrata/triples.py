@@ -125,11 +125,17 @@ def validate_index_set(raw: Iterable[tuple[int, int, int]], n: int,
 
 
 def decode_json(text: str):
-    """json.loads, with nesting too deep for the decoder as malformed input."""
+    """json.loads, with nesting too deep for the decoder and integers longer
+    than the interpreter's int-string limit as malformed input."""
     try:
         return json.loads(text)
     except RecursionError:
         raise MalformedInputError("JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise MalformedInputError("JSON integer has too many digits") \
+            from None
 
 
 def index_set_from_json(doc) -> IndexSet:

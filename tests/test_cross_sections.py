@@ -8,17 +8,18 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liestrata import (OutsideDomainError, UnsupportedShapeError,
-                       WNotQuadrupleDerivedError, brute_force_jacobiator,
-                       cross_section, curve_samples,
+from liestrata import (DimensionMismatchError, OutsideDomainError,
+                       UnsupportedShapeError, WNotQuadrupleDerivedError,
+                       brute_force_jacobiator, cross_section, curve_samples,
                        delta_domain, dominance_certificate, evaluate_jacobi,
                        f_jacobian, f_value, jacobi_system, left_null_basis,
                        lemma58_certificate, lie_points, point_at, sigma_point,
                        solve_branch_fixtures, structure_vector, w_vector)
 from liestrata import cross_sections, parse_index_set
 from liestrata.linalg import kernel_basis
-from liestrata.cross_sections import (CrossSectionSpec, LinearInequality,
-                                      PolytopeDomain,
+from liestrata.cross_sections import (CrossSectionSpec, CurveSolution,
+                                      LinearInequality, PolytopeDomain,
+                                      _common_roots,
                                       _vertical_line_meets_domain,
                                       branch_polynomial)
 from liestrata.triples import IndexSet, enumerate_theta
@@ -185,6 +186,15 @@ def test_lemma_certificate_rejects_non_w_vectors(one_quad_mult2):
     spec = cross_section(one_quad_mult2, W=[(2, -2, 0, 0, -2, 2)])
     with pytest.raises(WNotQuadrupleDerivedError):
         lemma58_certificate(spec)
+
+
+def test_directions_must_be_integer_vectors():
+    lam = parse_index_set(conftest.DIM7)
+    w = kernel_basis(lam)[1]  # every entry is 0 or +-1
+    assert cross_section(lam, W=[[Fraction(x) for x in w]]).W == (w,)
+    # halved, int() would truncate every entry to 0: the zero direction
+    with pytest.raises(DimensionMismatchError, match="integers"):
+        cross_section(lam, W=[[Fraction(x, 2) for x in w]])
 
 
 def test_center_must_be_positive(one_quad_mult2):
@@ -618,15 +628,20 @@ def test_branch_solver_random_strata_against_oracle():
 
 
 def solve_recording(monkeypatch, spec):
-    """solve_branch_fixtures on spec, recording every call of the fixed
-    variable and vertical line helpers as (helper, caller, result)."""
+    """solve_branch_fixtures on spec, recording every call of the vertical
+    line helper and of CurveSolution.params as (helper, caller, result).
+    The caller is the function around any comprehension making the call."""
     calls = []
-    for name in ("_solve_with_fixed_var", "_solve_on_vertical_line"):
-        def recorded(*args, _name=name, _run=getattr(cross_sections, name)):
+    for owner, name in ((cross_sections, "_solve_on_vertical_line"),
+                        (CurveSolution, "params")):
+        def recorded(*args, _name=name, _run=getattr(owner, name)):
             result = _run(*args)
-            calls.append((_name, sys._getframe(1).f_code.co_name, result))
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            calls.append((_name, frame.f_code.co_name, result))
             return result
-        monkeypatch.setattr(cross_sections, name, recorded)
+        monkeypatch.setattr(owner, name, recorded)
     return solve_branch_fixtures(spec, jacobi_system(spec.lam)), calls
 
 
@@ -653,11 +668,9 @@ def test_univariate_equation_fixes_a_parameter(monkeypatch):
                          W=[(0, 1, 0, -1, 0, 0, -1, 0, 1, 0),
                             (8, -6, -4, 2, -2, 2, -2, 0, 0, 2)])
     branches, calls = solve_recording(monkeypatch, spec)
-    assert ("_solve_with_fixed_var", "_solve_bivariate") in \
-        {call[:2] for call in calls}
     from_line = {pt for name, caller, result in calls
                  if (name, caller) == ("_solve_on_vertical_line",
-                                       "_solve_with_fixed_var")
+                                       "_solve_bivariate")
                  for pt in result}
     assert from_line == {(fr(1, 2), fr(0))}
     found = lie_points_by_sign(spec, branches)
@@ -665,22 +678,31 @@ def test_univariate_equation_fixes_a_parameter(monkeypatch):
     assert set(found.values()) == {((fr(1, 2), fr(0)),)}
 
 
-def test_pole_of_the_curve_is_solved_on_its_vertical_line(monkeypatch):
+def test_a_pole_of_the_curve_is_met_and_skipped(monkeypatch):
     lam = parse_index_set("n=6; (1,2,4) (1,2,6) (1,3,4) (1,4,6) (2,3,4) "
                           "(2,3,5) (2,3,6) (2,4,5) (2,4,6) (2,5,6) (3,4,5) "
                           "(3,5,6)")
     spec = cross_section(lam, W=[(-1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, -1),
                                  (-2, 2, 3, -3, -1, -1, -1, 1, 2, 0, 0, 0)])
     branches, calls = solve_recording(monkeypatch, spec)
-    # on the line where the solved equation's coefficient den(u) of v
-    # vanishes, that equation reads num(u) = 0 with num(u) nonzero
-    from_pole = [result for name, caller, result in calls
-                 if (name, caller) == ("_solve_on_vertical_line",
-                                       "_solve_bivariate")]
-    assert len(from_pole) == 8 and not any(from_pole)
+    # a root of the solved equation's coefficient den(u) of v is a
+    # candidate on every branch; there the equation reads num(u) = 0 with
+    # num(u) nonzero, so the candidate is skipped
+    at_pole = [call for call in calls
+               if call == ("params", "_solve_bivariate", None)]
+    assert len(at_pole) == 8
     found = lie_points_by_sign(spec, branches)
     assert len(found) == 8
     assert set(found.values()) == {((fr(0), fr(0)),)}
+
+
+def test_common_roots_stops_at_the_first_empty_intersection():
+    # x - 1 and x + 2 share no root, so x^2 - 2, whose roots are
+    # irrational, is never searched
+    assert _common_roots([[-1, 1], [2, 1], [-2, 0, 1]]) == set()
+    assert _common_roots([[], [0, 0]]) is None
+    with pytest.raises(UnsupportedShapeError, match="irrational"):
+        _common_roots([[-1, 1], [-2, 0, 1]])
 
 
 @pytest.mark.parametrize("text, a0, W, message", [

@@ -76,7 +76,19 @@ def test_parse_index_set_rejects_malformed_text(text):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("text", ["x", "1/0", "nan", "inf", "", "--"])
+# past the int-string limit of 4300 digits; 1e999999999 would not finish
+# expanding if the exponent were not checked first
+TOO_LONG_RATIONALS = [
+    "1e5000", "1e-5000", "1e999999999", "1e4300", "1e-4300",
+    pytest.param("1" * 5000, id="<5000 digits>"),
+    pytest.param("1/" + "3" * 5000, id="1/<5000 digits>"),
+    pytest.param("1" * 4000 + "e301", id="<4000 digits>e301"),
+    pytest.param("0." + "0" * 4000 + "1e-300", id="0.<4001 digits>e-300"),
+]
+
+
+@pytest.mark.parametrize("text", ["x", "1/0", "nan", "inf", "", "--",
+                                  *TOO_LONG_RATIONALS])
 def test_bad_rational_is_malformed_input(text):
     with pytest.raises(MalformedInputError):
         cli._fraction(text)
@@ -88,7 +100,13 @@ def test_bad_rational_is_malformed_input(text):
                                   ["cross-section", "-", "--c=--"],
                                   ["sweep", "--n=--"],
                                   ["sweep", "--n", "4", "--filter=--"],
-                                  ["sweep", "--n", "4", "--filter", "bogus"]])
+                                  ["sweep", "--n", "4", "--filter", "bogus"],
+                                  ["cross-section", "-", "--c=1e5000"],
+                                  ["cross-section", "-", "--c=1e-5000"],
+                                  ["cross-section", "-",
+                                   "--center=1e5000,1,1,1,1,1"],
+                                  ["cross-section", "-", "--exponent=1e5000"],
+                                  ["cross-section", "-", "--c=1e999999999"]])
 def test_malformed_option_exits_2(argv):
     rc, out, err = run_main(argv, ONE_QUAD_MULT2)
     assert rc == 2 and out == ""
@@ -206,6 +224,33 @@ def test_deeply_nested_json_exits_2(command):
 def test_parse_index_set_rejects_deeply_nested_json():
     with pytest.raises(MalformedInputError):
         parse_index_set(DEEP_JSON)
+
+
+# integers past the int-string limit, which json.loads refuses to convert
+LONG_JSON = [
+    pytest.param('{"n": 1%s, "triples": []}' % ("0" * 5000),
+                 id="n=<5001 digits>"),
+    pytest.param('{"n": 4, "triples": [[1, 2, %s]]}' % ("9" * 5000),
+                 id="triple entry of 5000 digits"),
+]
+
+
+@pytest.mark.parametrize("source", [
+    *LONG_JSON,
+    pytest.param(ONE_QUAD_MULT2 + "\na: 1e5000, 1, 1, 1, 1, 1"
+                 "\nb: 1, 1, 1, 1, 1, 1\n", id="vector entry 1e5000")])
+@pytest.mark.parametrize("command",
+                         ["analyze", "jacobi", "isomorphic", "cross-section"])
+def test_too_long_numbers_exit_2(command, source):
+    rc, out, err = run_main([command, "-"], source)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", LONG_JSON)
+def test_parse_index_set_rejects_too_long_json_integers(text):
+    with pytest.raises(MalformedInputError, match="too many digits"):
+        parse_index_set(text)
 
 
 @pytest.mark.parametrize("command",

@@ -86,6 +86,25 @@ def test_text_roundtrip_isomorphism(filiform4):
     assert parse_text(render_text(doc)) == doc
 
 
+def test_isomorphism_report_runs_each_orbit_test_once(monkeypatch,
+                                                       one_quad_mult2):
+    from liestrata import orbits, report
+    calls = {}
+    for name in ("magnitude_orbit_equivalent", "sign_orbit_equivalent"):
+        def counted(a, b, _name=name, _run=getattr(orbits, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _run(a, b)
+        monkeypatch.setattr(orbits, name, counted)
+        monkeypatch.setattr(report, name, counted)
+    a = structure_vector(one_quad_mult2, [1] * 6)
+    b = structure_vector(one_quad_mult2, [1, 1, 1, 1, 1, -1])
+    doc = build_isomorphism_report(a, b)
+    assert calls == {"magnitude_orbit_equivalent": 1,
+                     "sign_orbit_equivalent": 1}
+    assert (doc["magnitude_equivalent"], doc["sign_equivalent"],
+            doc["verdict"]) == (True, False, "distinct (sign)")
+
+
 def test_analysis_with_cross_section_section(one_quad_mult2):
     doc = build_analysis_report(one_quad_mult2, with_cross_section=True)
     sub = doc["cross_section"]
