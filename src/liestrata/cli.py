@@ -26,8 +26,8 @@ from .report import (build_analysis_report, build_cross_section_report,
                      build_isomorphism_report, render_text, SWEEP_SCHEMA)
 from .sweep import WORKERS_ENV, sweep_counts, sweep_strata, workers_from_env
 from .triples import (IndexSet, StructureVector, decode_json,
-                      index_set_document, index_set_from_json,
-                      parse_index_set, structure_vector)
+                      enumerate_theta, index_set_document,
+                      index_set_from_json, parse_index_set, structure_vector)
 
 PRECONDITION_ERRORS = (ModeError, CapExceededError, OutsideDomainError,
                        UnsupportedShapeError, WNotQuadrupleDerivedError)
@@ -59,6 +59,8 @@ def _read_source(path: str) -> str:
 MAX_LITERAL_DIGITS = 4300
 _LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+# Most characters of a literal that an error message echoes.
+_SHOWN = 40
 
 
 def _fraction(text) -> Fraction:
@@ -66,21 +68,29 @@ def _fraction(text) -> Fraction:
 
     A bad literal, a zero denominator, an exponent above
     MAX_LITERAL_DIGITS and a numerator or denominator of more digits raise
-    MalformedInputError (exit 2).  The exponent is checked before it is
-    expanded.
+    MalformedInputError (exit 2).  The digits and the exponent are counted
+    before the literal is parsed, and the message echoes at most _SHOWN of
+    its characters.
     """
+    literal = str(text)
+    shown = repr(literal) if len(literal) <= _SHOWN \
+        else repr(literal[:_SHOWN]) + "…"
+    if any(sum(map(str.isdecimal, part)) > MAX_LITERAL_DIGITS
+           for part in literal.split("/")):
+        raise MalformedInputError(
+            f"more than {MAX_LITERAL_DIGITS} digits in {shown}")
     try:
-        exp = _EXPONENT.search(str(text))
+        exp = _EXPONENT.search(literal)
         if exp and abs(int(exp[1])) > MAX_LITERAL_DIGITS:
-            raise MalformedInputError(f"exponent too large in {text!r}")
+            raise MalformedInputError(f"exponent too large in {shown}")
         value = Fraction(text)
     except ZeroDivisionError:
-        raise MalformedInputError(f"zero denominator in {text!r}") from None
+        raise MalformedInputError(f"zero denominator in {shown}") from None
     except ValueError:
-        raise MalformedInputError(f"not a rational number: {text!r}") from None
+        raise MalformedInputError(f"not a rational number: {shown}") from None
     if max(abs(value.numerator), value.denominator) >= _LITERAL_BOUND:
         raise MalformedInputError(
-            f"more than {MAX_LITERAL_DIGITS} digits in {text!r}")
+            f"more than {MAX_LITERAL_DIGITS} digits in {shown}")
     return value
 
 
@@ -176,50 +186,40 @@ def _nested(value, depth: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _triple_json(t) -> str:
-    return _nested(list(t), 4)
-
-
-@lru_cache(maxsize=None)
 def _entry_tail_json(size, obstruction, classification, multiplicities) -> str:
     return _nested({"size": size, "obstruction": obstruction,
                     "classification": classification,
                     "multiplicities": list(multiplicities)}, 2)[1:]
 
 
-def _entry_json(s) -> str:
-    """One element of the "strata" list, at depth 2 of the sweep document.
+def _streamed_entries(stream, out, fragment):
+    """Write each summary into the open "strata" list, then close it.
 
-    The triples and the remaining fields repeat across strata, so their
-    text is rendered once and reused.
+    Each element sits at depth 2 of the sweep document.  ``fragment`` maps
+    a triple to its text at depth 4; the remaining fields repeat across
+    strata, so their text is rendered once and reused.
     """
-    if s.triples:
-        triples = ("[\n        "
-                   + ",\n        ".join(_triple_json(t) for t in s.triples)
-                   + "\n      ]")
-    else:
-        triples = "[]"
-    return ('{\n      "triples": ' + triples + ","
-            + _entry_tail_json(s.size, s.obstruction, s.classification,
-                               s.multiplicities))
-
-
-def _streamed_entries(stream, out):
-    """Write each summary into the open "strata" list, then close it."""
-    sep = "\n    "
+    write, sep = out.write, "\n    "
     for s in stream:
-        out.write(sep + _entry_json(s))
+        triples, obstruction, classification, mults = s
+        listed = ("[\n        " + ",\n        ".join(map(fragment, triples))
+                  + "\n      ]") if triples else "[]"
+        write(sep + '{\n      "triples": ' + listed + ","
+              + _entry_tail_json(len(triples), obstruction, classification,
+                                 mults))
         sep = ",\n    "
         yield s
-    out.write("]" if sep == "\n    " else "\n  ]")
+    write("]" if sep == "\n    " else "\n  ]")
 
 
-def _text_lines(stream):
+def _text_lines(stream, out, fragment):
+    write = out.write
     for s in stream:
-        triples = " ".join(str(t) for t in s.triples) if s.triples else "(empty)"
-        cls = s.classification if s.classification is not None else "-"
-        print(f"size={s.size} {triples} obstruction={s.obstruction} "
-              f"classification={cls}")
+        triples, obstruction, classification, _ = s
+        listed = " ".join(map(fragment, triples)) if triples else "(empty)"
+        cls = classification if classification is not None else "-"
+        write(f"size={len(triples)} {listed} obstruction={obstruction} "
+              f"classification={cls}\n")
         yield s
 
 
@@ -244,13 +244,17 @@ def cmd_sweep(args) -> int:
         obstruction=obstruction, classification=classification,
         discard_obstructed=args.discard_obstructed,
         workers=workers_from_env() if args.workers is None else args.workers)
+    # each triple's text, rendered once per sweep
+    theta = enumerate_theta(args.n)
+    out = sys.stdout
     if args.format == "structured":
-        out = sys.stdout
+        fragment = dict(zip(theta, (_nested(list(t), 4) for t in theta)))
         head = {"schema": SWEEP_SCHEMA, "n": args.n, "size": args.size,
                 "max_size": args.max_size, "filter": args.filter,
                 "discard_obstructed": args.discard_obstructed}
         out.write(_nested(head, 0)[:-2] + ',\n  "strata": [')
-        counts = sweep_counts(_streamed_entries(stream, out))
+        counts = sweep_counts(
+            _streamed_entries(stream, out, fragment.__getitem__))
         tail = {
             "total": counts["total"],
             "obstruction": dict(sorted(counts["obstruction"].items())),
@@ -258,7 +262,8 @@ def cmd_sweep(args) -> int:
         }
         out.write(',\n  "counts": ' + _nested(tail, 1) + "\n}\n")
         return 0
-    counts = sweep_counts(_text_lines(stream))
+    fragment = dict(zip(theta, map(str, theta)))
+    counts = sweep_counts(_text_lines(stream, out, fragment.__getitem__))
     print(f"# total: {counts['total']}")
     for key in sorted(counts["obstruction"]):
         print(f"# obstruction {key}: {counts['obstruction'][key]}")

@@ -8,16 +8,19 @@ again.  Each stratum's obstruction status and the labels it can still get
 come from those running counts through quadruples.stratum_status, so a
 stratum is dropped before its triples are built, and the rational kernel is
 only computed when its multiplicity pattern leaves more than one label open.
+
+A block returns plain records, not summaries, so a pool worker sends back
+only ints, short strings and None; the calling process turns each record
+into a StratumSummary.  The process pool is imported only when a sweep
+starts one.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError
 from .quadruples import (OBSTRUCTION_EMPTY, classify, stratum_status,
@@ -31,8 +34,7 @@ WORKERS_ENV = "LIESTRATA_WORKERS"
 MAX_N = 16
 
 
-@dataclass(frozen=True)
-class StratumSummary:
+class StratumSummary(NamedTuple):
     triples: tuple[Triple, ...]
     obstruction: str
     classification: str | None
@@ -79,8 +81,12 @@ class _Walk:
         self.counter: dict = {}
 
 
-def _summarize(walk: _Walk) -> StratumSummary | None:
-    """Summary of the walk's current stratum, or None when it is dropped.
+def _summarize(walk: _Walk) -> tuple | None:
+    """Record of the walk's current stratum, or None when it is dropped.
+
+    A record is (theta indices, obstruction, classification, sorted
+    multiplicities): the fields of a StratumSummary with the triples given
+    by their indices into theta.
 
     The filters first see the status and possible labels of the running
     multiplicities; classify runs only when more than one label is open.
@@ -93,18 +99,18 @@ def _summarize(walk: _Walk) -> StratumSummary | None:
         return None
     if walk.classification is not None and walk.classification not in labels:
         return None
-    triples = tuple(walk.theta[i] for i in walk.combo)
     classification = None
     if walk.want_cls:
         if len(labels) == 1:
             classification = labels[0]
         else:
+            triples = tuple(walk.theta[i] for i in walk.combo)
             classification = classify(IndexSet(walk.n, triples, THETA))
             if walk.classification is not None and \
                     classification != walk.classification:
                 return None
-    return StratumSummary(triples, obstruction, classification,
-                          tuple(sorted(mults)))
+    return (tuple(walk.combo), obstruction, classification,
+            tuple(sorted(mults)))
 
 
 def _check_caps(n: int, max_size, size, cap: int) -> None:
@@ -124,17 +130,17 @@ def _sizes(n: int, max_size, size) -> list[int]:
     return list(range(top + 1))
 
 
-def _block(args) -> list[StratumSummary]:
-    """All matching summaries of one (size, first-index) enumeration block."""
+def _block(args) -> list[tuple]:
+    """All matching records of one (size, first-index) enumeration block."""
     (n, k, first, obstruction, classification, discard, want_cls) = args
     theta, partners = _pair_cache(n)
     walk = _Walk(n, theta, obstruction, classification, discard, want_cls)
-    out: list[StratumSummary] = []
+    out: list[tuple] = []
     if k == 0:
         if first == -1:
-            summary = _summarize(walk)
-            if summary is not None:
-                out.append(summary)
+            record = _summarize(walk)
+            if record is not None:
+                out.append(record)
         return out
     combo, counter = walk.combo, walk.counter
     slack = len(theta) - k
@@ -149,9 +155,9 @@ def _block(args) -> list[StratumSummary]:
                 counter[q] = counter.get(q, 0) + 1
             combo.append(c)
             if leaf:
-                summary = _summarize(walk)
-                if summary is not None:
-                    out.append(summary)
+                record = _summarize(walk)
+                if record is not None:
+                    out.append(record)
             else:
                 descend(depth + 1, range(c + 1, slack + depth + 2))
             combo.pop()
@@ -188,17 +194,28 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
         for first in firsts:
             tasks.append((n, k, first, obstruction, classification,
                           discard_obstructed, want_cls))
-    return _walk_blocks(tasks, pool_size(workers, len(tasks)))
+    return _walk_blocks(tasks, pool_size(workers, len(tasks)), theta)
 
 
-def _walk_blocks(tasks: list, workers: int) -> Iterator[StratumSummary]:
+def _walk_blocks(tasks: list, workers: int,
+                 theta: list[Triple]) -> Iterator[StratumSummary]:
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block in pool.map(_block, tasks, chunksize=4):
-                yield from block
+            yield from _summaries(pool.map(_block, tasks, chunksize=4),
+                                  theta)
     else:
-        for task in tasks:
-            yield from _block(task)
+        yield from _summaries(map(_block, tasks), theta)
+
+
+def _summaries(blocks: Iterable[list[tuple]],
+               theta: list[Triple]) -> Iterator[StratumSummary]:
+    triple = theta.__getitem__
+    for block in blocks:
+        for indices, obstruction, classification, mults in block:
+            yield StratumSummary(tuple(map(triple, indices)), obstruction,
+                                 classification, mults)
 
 
 def pool_size(workers: int, tasks: int) -> int:

@@ -1,5 +1,6 @@
 """Input documents, the exit-code contract and the cached argument parser."""
 
+import concurrent.futures
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -247,6 +248,24 @@ def test_too_long_numbers_exit_2(command, source):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("entry, named", [
+    pytest.param("1" + "0" * 5000, "more than 4300 digits",
+                 id="<5001 digits>"),
+    pytest.param("1/1" + "0" * 5000, "more than 4300 digits",
+                 id="1/<5001 digits>"),
+    pytest.param("1." + "0" * 5000, "more than 4300 digits",
+                 id="1.<5000 digits>"),
+    pytest.param("x" * 5000, "not a rational number", id="<5000 x>"),
+])
+def test_too_long_literal_gets_a_short_error(entry, named):
+    source = (ONE_QUAD_MULT2 + f"\na: {entry}, 1, 1, 1, 1, 1"
+              "\nb: 1, 1, 1, 1, 1, 1\n")
+    rc, out, err = run_main(["isomorphic", "-"], source)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200 and named in err
+
+
 @pytest.mark.parametrize("text", LONG_JSON)
 def test_parse_index_set_rejects_too_long_json_integers(text):
     with pytest.raises(MalformedInputError, match="too many digits"):
@@ -357,7 +376,9 @@ class RecordingPool:
 @pytest.mark.parametrize("cpus, started", [(2, [2]), (1, [])])
 def test_sweep_asks_for_a_clamped_pool(monkeypatch, cpus, started):
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    # the sweep imports the pool class from concurrent.futures when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     serial = list(sweep.sweep_strata(5, size=3))
     assert list(sweep.sweep_strata(5, size=3, workers=10**6)) == serial

@@ -14,6 +14,7 @@ from liestrata.jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
                               OBSTRUCTION_NONTRIVIAL)
 from liestrata.quadruples import (CLASSIFICATIONS, _PATTERN_LABELS,
                                   _UNCLASSIFIED)
+from liestrata import sweep
 from liestrata.report import SWEEP_SCHEMA
 from liestrata.sweep import sweep_strata
 
@@ -69,6 +70,22 @@ def test_sweep_without_classification_matches_plain_enumeration(obstruction):
     got = list(sweep_strata(7, max_size=2, obstruction=obstruction))
     assert got == [s for s in ref if keep(s, obstruction)]
     assert all(s.classification is None for s in got)
+
+
+@pytest.mark.parametrize("classification, want_classification",
+                         [(None, False), (None, True), ("finite-1q2", True)])
+def test_blocks_hold_plain_records(classification, want_classification):
+    # what a pool worker pickles back: no Triple, no StratumSummary
+    records = sweep._block((7, 4, 0, None, classification, False,
+                            want_classification))
+    assert records
+    for record in records:
+        assert type(record) is tuple and len(record) == 4
+        for field in record:
+            if type(field) is tuple:
+                assert all(type(i) is int for i in field)
+            else:
+                assert field is None or type(field) in (int, str)
 
 
 def test_pattern_labels_contain_every_classify_verdict():
@@ -163,6 +180,24 @@ def test_streamed_sweep_output_is_unchanged(capsys, argv, n, obstruction,
     assert capsys.readouterr().out == old_text(summaries)
     if not summaries:
         assert '"strata": [],' in structured
+
+
+# paths GOLDEN misses: blocks walked in a process pool, and n = 7 with
+# classification off, which writes null and "-"
+@pytest.mark.parametrize("argv,n,sizes,want_classification", [
+    (["--n", "5", "--workers", "2"], 5, range(11), True),
+    (["--n", "7", "--size", "2"], 7, [2], False),
+])
+def test_streamed_sweep_output_is_unchanged_off_the_golden_paths(
+        capsys, argv, n, sizes, want_classification):
+    summaries = census(n, sizes, want_classification)
+    # compared by lines: a failure then names the first differing line
+    # instead of diffing the whole document
+    for fmt, expected in (("structured", old_structured(argv, summaries)),
+                          ("text", old_text(summaries))):
+        assert main(["sweep", *argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out.splitlines(keepends=True) == \
+            expected.splitlines(keepends=True)
 
 
 def test_streamed_sweep_with_a_size_and_no_strata(capsys):
