@@ -9,7 +9,7 @@ bounded cross sections that parametrize isomorphism classes.
 from .cross_sections import (BranchSolution, Certificate, CrossSectionSpec,
                              CurveSolution, center_is_lie, cross_section,
                              curve_samples, delta_domain, display_value,
-                             dominance_certificate, f_jacobian, f_value,
+                             dominance_certificate, f_jacobian,
                              lemma58_certificate, lie_points, point_at,
                              sigma_point, solve_branch_fixtures)
 from .errors import (CapExceededError, DimensionMismatchError,
@@ -22,9 +22,8 @@ from .jacobi import (JacobiEquation, JacobiSystem, brute_force_jacobiator,
                      evaluate_jacobi, format_system, is_lie, jacobi_system,
                      obstruction_status)
 from .linalg import (gf2_column_space_contains, gf2_coset_transversal,
-                     gf2_rank, gf2_root_matrix, in_column_space,
-                     left_null_basis, rank, root_matrix, root_vector,
-                     span_equals)
+                     gf2_rank, gf2_root_matrix, left_null_basis, rank,
+                     root_matrix, root_vector, span_equals)
 from .orbits import (ISOMORPHISM_CAVEAT, apply_diagonal, d_orbit_equivalent,
                      magnitude_orbit_equivalent, orbit_verdict,
                      sign_orbit_equivalent)

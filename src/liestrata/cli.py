@@ -192,43 +192,63 @@ def _entry_tail_json(size, obstruction, classification, multiplicities) -> str:
                     "multiplicities": list(multiplicities)}, 2)[1:]
 
 
-def _streamed_entries(stream, out, fragment):
-    """Write each summary into the open "strata" list, then close it.
+@lru_cache(maxsize=8)
+def _triple_fragments(n: int) -> tuple[list[str], list[str]]:
+    """Each theta triple's text, structured at depth 4 and plain, by its
+    index: rendered once per n in each process that renders a sweep."""
+    theta = enumerate_theta(n)
+    return [_nested(list(t), 4) for t in theta], [str(t) for t in theta]
 
-    Each element sits at depth 2 of the sweep document.  ``fragment`` maps
-    a triple to its text at depth 4; the remaining fields repeat across
-    strata, so their text is rendered once and reused.
+
+def _render_entry(record, n: int) -> str:
+    """A sweep record as its element of the "strata" list, at depth 2.
+
+    The fields after the triples repeat across strata, so their text is
+    rendered once and reused.
     """
+    indices, obstruction, classification, mults = record
+    listed = ("[\n        " + ",\n        ".join(
+        map(_triple_fragments(n)[0].__getitem__, indices)) + "\n      ]"
+        if indices else "[]")
+    return ('{\n      "triples": ' + listed + ","
+            + _entry_tail_json(len(indices), obstruction, classification,
+                               mults))
+
+
+def _render_line(record, n: int) -> str:
+    """A sweep record as its line of text output."""
+    indices, obstruction, classification, _ = record
+    listed = " ".join(map(_triple_fragments(n)[1].__getitem__, indices)) \
+        if indices else "(empty)"
+    cls = classification if classification is not None else "-"
+    return (f"size={len(indices)} {listed} obstruction={obstruction} "
+            f"classification={cls}\n")
+
+
+def _streamed_entries(stream, out):
+    """Write each rendered entry into the open "strata" list, then close it."""
     write, sep = out.write, "\n    "
     for s in stream:
-        triples, obstruction, classification, mults = s
-        listed = ("[\n        " + ",\n        ".join(map(fragment, triples))
-                  + "\n      ]") if triples else "[]"
-        write(sep + '{\n      "triples": ' + listed + ","
-              + _entry_tail_json(len(triples), obstruction, classification,
-                                 mults))
+        write(sep + s[0])
         sep = ",\n    "
         yield s
     write("]" if sep == "\n    " else "\n  ]")
 
 
-def _text_lines(stream, out, fragment):
+def _text_lines(stream, out):
     write = out.write
     for s in stream:
-        triples, obstruction, classification, _ = s
-        listed = " ".join(map(fragment, triples)) if triples else "(empty)"
-        cls = classification if classification is not None else "-"
-        write(f"size={len(triples)} {listed} obstruction={obstruction} "
-              f"classification={cls}\n")
+        write(s[0])
         yield s
 
 
 def cmd_sweep(args) -> int:
     """Stream the sweep: each stratum is written as soon as it arrives.
 
-    The structured document is written piece by piece with the exact bytes
-    ``json.dumps(doc, indent=2)`` would give, so memory stays flat however
-    many strata the sweep emits.
+    The sweep renders each stratum where it is walked, through
+    _render_entry or _render_line.  The structured document is written
+    piece by piece with the exact bytes ``json.dumps(doc, indent=2)`` would
+    give, so memory stays flat however many strata the sweep emits.
     """
     obstruction = classification = None
     if args.filter:
@@ -239,22 +259,20 @@ def cmd_sweep(args) -> int:
             classification = name
         else:
             raise MalformedInputError(f"unknown filter {args.filter!r}")
+    structured = args.format == "structured"
     stream = sweep_strata(
         args.n, max_size=args.max_size, size=args.size, cap=args.cap,
         obstruction=obstruction, classification=classification,
         discard_obstructed=args.discard_obstructed,
-        workers=workers_from_env() if args.workers is None else args.workers)
-    # each triple's text, rendered once per sweep
-    theta = enumerate_theta(args.n)
+        workers=workers_from_env() if args.workers is None else args.workers,
+        render=_render_entry if structured else _render_line)
     out = sys.stdout
-    if args.format == "structured":
-        fragment = dict(zip(theta, (_nested(list(t), 4) for t in theta)))
+    if structured:
         head = {"schema": SWEEP_SCHEMA, "n": args.n, "size": args.size,
                 "max_size": args.max_size, "filter": args.filter,
                 "discard_obstructed": args.discard_obstructed}
         out.write(_nested(head, 0)[:-2] + ',\n  "strata": [')
-        counts = sweep_counts(
-            _streamed_entries(stream, out, fragment.__getitem__))
+        counts = sweep_counts(_streamed_entries(stream, out))
         tail = {
             "total": counts["total"],
             "obstruction": dict(sorted(counts["obstruction"].items())),
@@ -262,8 +280,7 @@ def cmd_sweep(args) -> int:
         }
         out.write(',\n  "counts": ' + _nested(tail, 1) + "\n}\n")
         return 0
-    fragment = dict(zip(theta, map(str, theta)))
-    counts = sweep_counts(_text_lines(stream, out, fragment.__getitem__))
+    counts = sweep_counts(_text_lines(stream, out))
     print(f"# total: {counts['total']}")
     for key in sorted(counts["obstruction"]):
         print(f"# obstruction {key}: {counts['obstruction'][key]}")

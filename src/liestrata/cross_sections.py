@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log
+from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
@@ -293,15 +293,6 @@ def center_is_lie(spec: CrossSectionSpec) -> bool:
 # ---------------------------------------------------------------------------
 # The projection map and its Jacobian
 # ---------------------------------------------------------------------------
-
-
-def f_value(spec: CrossSectionSpec, c, params: Sequence) -> tuple[float, ...]:
-    """c * (pi_Y . Ln . a)(params), in floating point."""
-    mags = point_at(spec, params)
-    cf = float(Fraction(c))
-    logs = [log(v) for v in mags]
-    return tuple(cf * sum(w[k] * logs[k] for k in range(len(mags)))
-                 for w in spec.W)
 
 
 def f_jacobian(spec: CrossSectionSpec, params: Sequence,

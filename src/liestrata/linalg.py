@@ -165,16 +165,6 @@ def primitive_span_basis(vectors: Sequence[Sequence]) -> tuple[IntVector, ...]:
     return tuple(tuple([sign * x for x in primitive(row)]) for row in red)
 
 
-def in_column_space(rows: IntMatrix, v: Sequence) -> bool:
-    """Whether v (length m, rational) lies in Col(Y): v ⟂ Null(Y^T)."""
-    if len(v) != len(rows):
-        raise DimensionMismatchError(
-            f"vector length {len(v)} != row count {len(rows)}")
-    vals = [Fraction(x) for x in v]
-    return all(sum(w[i] * vals[i] for i in range(len(w))) == 0
-               for w in left_null_basis(rows))
-
-
 def span_equals(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> bool:
     """Whether two lists of rational vectors span the same subspace."""
     if not basis_a and not basis_b:

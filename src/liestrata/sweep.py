@@ -9,18 +9,26 @@ come from those running counts through quadruples.stratum_status, so a
 stratum is dropped before its triples are built, and the rational kernel is
 only computed when its multiplicity pattern leaves more than one label open.
 
-A block returns plain records, not summaries, so a pool worker sends back
-only ints, short strings and None; the calling process turns each record
-into a StratumSummary.  The process pool is imported only when a sweep
-starts one.
+A block returns plain records, not summaries: (theta indices, obstruction,
+classification, multiplicities).  Without a renderer the calling process
+turns each record into a StratumSummary.  With one, the process that walks
+a block also renders it: a pool worker sends back each stratum's text in
+place of its indices, and the serial path renders each record as it is
+yielded.  The process pool is imported only when a sweep starts one; it is
+given tasks at most workers + 1 ahead of the one being consumed, and a
+block with more than LEAF_BOUND leaves is split into runs of its second
+index, so neither the parent nor a worker holds more than a few tasks'
+results.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
-from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from collections import Counter, deque
+from functools import lru_cache, partial
+from itertools import starmap
+from math import comb
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError
 from .quadruples import (OBSTRUCTION_EMPTY, classify, stratum_status,
@@ -32,6 +40,11 @@ WORKERS_ENV = "LIESTRATA_WORKERS"
 # C(n, 3): building it took 0.41 s and 36 MB peak RSS at n = 16, 1.7 s and
 # 90 MB at n = 20, 5.4 s and 258 MB at n = 24 (Python 3.11, 2 vCPUs).
 MAX_N = 16
+# A (size, first) block with more leaves than this is walked as several
+# tasks, each a run of consecutive second indices.  census sweeps at n = 7,
+# size 4 have blocks of up to 5 984 leaves, which stay whole; at n = 6 a
+# block has up to 92 378.
+LEAF_BOUND = 8192
 
 
 class StratumSummary(NamedTuple):
@@ -130,8 +143,9 @@ def _sizes(n: int, max_size, size) -> list[int]:
     return list(range(top + 1))
 
 
-def _block(args) -> list[tuple]:
-    """All matching records of one (size, first-index) enumeration block."""
+def _block(args, seconds: range | None = None) -> list[tuple]:
+    """All matching records of one (size, first-index) enumeration block,
+    or of the part of it whose second index lies in ``seconds``."""
     (n, k, first, obstruction, classification, discard, want_cls) = args
     theta, partners = _pair_cache(n)
     walk = _Walk(n, theta, obstruction, classification, discard, want_cls)
@@ -169,17 +183,49 @@ def _block(args) -> list[tuple]:
                     del counter[q]
 
     if 0 <= first <= slack:
-        descend(0, (first,))
+        if seconds is None:
+            descend(0, (first,))
+        else:
+            # a single triple forms no pair: the counter stays empty
+            combo.append(first)
+            descend(1, seconds)
     return out
+
+
+def _split(m: int, k: int, first: int) -> list[range | None]:
+    """The second-index runs that cut block (k, first) of a theta of m
+    triples into tasks of at most LEAF_BOUND leaves, in order; [None]
+    keeps the block whole.  Second index s heads C(m-1-s, k-2) leaves."""
+    if k < 2 or comb(m - 1 - first, k - 1) <= LEAF_BOUND:
+        return [None]
+    runs, lo, leaves = [], first + 1, 0
+    for s in range(first + 1, m - k + 2):
+        count = comb(m - 1 - s, k - 2)
+        if leaves and leaves + count > LEAF_BOUND:
+            runs.append(range(lo, s))
+            lo, leaves = s, 0
+        leaves += count
+    runs.append(range(lo, m - k + 2))
+    return runs
 
 
 def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
                  cap: int = 8, obstruction: str | None = None,
                  classification: str | None = None,
-                 discard_obstructed: bool = False,
-                 workers: int = 1) -> Iterator[StratumSummary]:
+                 discard_obstructed: bool = False, workers: int = 1,
+                 render: Callable[[tuple, int], str] | None = None
+                 ) -> Iterator[StratumSummary] | Iterator[tuple]:
     """Yield matching strata in (size, lexicographic) order, classified
     for n <= 6 or under a classification filter.
+
+    Without ``render`` each stratum is a StratumSummary.  With it, each is
+    a plain tuple (text, obstruction, classification, multiplicities), the
+    summary's fields with ``render(record, n)`` in place of the triples;
+    ``record`` is (theta indices, obstruction, classification,
+    multiplicities), indices into ``enumerate_theta(n)``.  ``render`` must
+    be a module-level function, since a pool worker receives it pickled by
+    name and renders its own tasks; serially each record is rendered as it
+    is yielded.
 
     The caps are checked and the pair table is built by the call itself, so
     a refused sweep raises before its caller has written anything; the
@@ -190,23 +236,57 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
     want_cls = n <= 6 or classification is not None
     tasks = []
     for k in _sizes(n, max_size, size):
-        firsts = [-1] if k == 0 else list(range(len(theta) - k + 1))
+        firsts = [-1] if k == 0 else range(len(theta) - k + 1)
         for first in firsts:
-            tasks.append((n, k, first, obstruction, classification,
-                          discard_obstructed, want_cls))
-    return _walk_blocks(tasks, pool_size(workers, len(tasks)), theta)
+            args = (n, k, first, obstruction, classification,
+                    discard_obstructed, want_cls)
+            tasks += [(args, seconds)
+                      for seconds in _split(len(theta), k, first)]
+    return _walk_blocks(tasks, pool_size(workers, len(tasks)), n, render)
 
 
-def _walk_blocks(tasks: list, workers: int,
-                 theta: list[Triple]) -> Iterator[StratumSummary]:
+def _walk_blocks(tasks: list, workers: int, n: int,
+                 render) -> Iterator[StratumSummary] | Iterator[tuple]:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        work = _block if render is None else partial(_rendered_block, render)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from _summaries(pool.map(_block, tasks, chunksize=4),
-                                  theta)
+            blocks = _windowed(pool, work, tasks, workers + 1)
+            if render is None:
+                yield from _summaries(blocks, _pair_cache(n)[0])
+            else:
+                for block in blocks:
+                    yield from block
+    elif render is None:
+        yield from _summaries(starmap(_block, tasks), _pair_cache(n)[0])
     else:
-        yield from _summaries(map(_block, tasks), theta)
+        yield from _rendered(starmap(_block, tasks), render, n)
+
+
+def _windowed(pool, work, tasks: list, window: int) -> Iterator[list]:
+    """``work(*task)`` for each task, in order, with ``window`` tasks
+    submitted ahead of the one whose result the caller is taking."""
+    pending: deque = deque()
+    for task in tasks:
+        pending.append(pool.submit(work, *task))
+        if len(pending) > window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _rendered(blocks: Iterable[list[tuple]], render,
+              n: int) -> Iterator[tuple]:
+    for block in blocks:
+        for record in block:
+            _, obstruction, classification, mults = record
+            yield render(record, n), obstruction, classification, mults
+
+
+def _rendered_block(render, args, seconds=None) -> list[tuple]:
+    """A pool task with its records rendered in the worker."""
+    return list(_rendered((_block(args, seconds),), render, args[0]))
 
 
 def _summaries(blocks: Iterable[list[tuple]],
@@ -231,16 +311,19 @@ def workers_from_env(default: int = 1) -> int:
         return default
 
 
-def sweep_counts(summaries: Iterable[StratumSummary]) -> dict:
+def sweep_counts(summaries: Iterable[tuple]) -> dict:
     """Totals by obstruction status and by classification label.
 
-    The CLI feeds its sweep through this for the trailing summary.
+    Reads fields 1 and 2 of each item, so it counts a stream of summaries
+    or of rendered tuples alike.  The CLI feeds its sweep through this for
+    the trailing summary.
     """
-    counts: dict = {"total": 0, "obstruction": Counter(),
-                    "classification": Counter()}
+    total = 0
+    obstruction, classification = Counter(), Counter()
     for s in summaries:
-        counts["total"] += 1
-        counts["obstruction"][s.obstruction] += 1
-        if s.classification is not None:
-            counts["classification"][s.classification] += 1
-    return counts
+        total += 1
+        obstruction[s[1]] += 1
+        if s[2] is not None:
+            classification[s[2]] += 1
+    return {"total": total, "obstruction": obstruction,
+            "classification": classification}

@@ -8,6 +8,9 @@ fast path.
 """
 
 from fractions import Fraction
+from math import log
+
+from liestrata import point_at
 
 
 def slice_values(spec, params):
@@ -43,3 +46,13 @@ def dominant(jac) -> bool:
         if not row[i] > off:
             return False
     return True
+
+
+def f_value(spec, c, params):
+    """c * (pi_Y . Ln . a)(params), in floating point: the projection map
+    for finite-difference checks of the exact Jacobian."""
+    mags = point_at(spec, params)
+    cf = float(Fraction(c))
+    logs = [log(v) for v in mags]
+    return tuple(cf * sum(w[k] * logs[k] for k in range(len(mags)))
+                 for w in spec.W)

@@ -6,7 +6,8 @@ and exit code go into the sha256 of its command, and every call goes into
 the total.  The inputs are every stratum recorded in
 ``perfbench/strata.json`` (read, never written) and the index sets of
 ``tests/conftest.py``, each with a seeded pair of structure vectors
-for ``isomorphic``.  The last line counts the structured
+for ``isomorphic``.  Each line of ``SWEEPS`` is run in both formats and
+gets a digest of its own.  The last line counts the structured
 ``analyze --cross-section`` reports whose digest matches the one recorded
 in ``strata.json``.
 
@@ -48,6 +49,29 @@ COMMANDS = {
     "cross-section --c=-3/2": ["cross-section", "--c=-3/2"],
 }
 SEED = 7
+# sweeps: serial and pooled, the filters, --discard-obstructed, n = 7 with
+# classification off and on, n = 1 and 2 (theta is empty), no strata,
+# blocks split into tasks (n = 6, size 6), and refused ones (n = 0, n = 7
+# without a size, n = 17)
+SWEEPS = [
+    ["--n", "4"],
+    ["--n", "5"],
+    ["--n", "5", "--workers", "2"],
+    ["--n", "5", "--filter", "finite-1q2"],
+    ["--n", "5", "--filter", "empty", "--discard-obstructed"],
+    ["--n", "5", "--filter", "nontrivial", "--workers", "2"],
+    ["--n", "5", "--discard-obstructed"],
+    ["--n", "7", "--size", "2"],
+    ["--n", "7", "--size", "3", "--filter", "finite-1q2"],
+    ["--n", "1"],
+    ["--n", "2"],
+    ["--n", "4", "--size", "9"],
+    ["--n", "6", "--size", "6"],
+    ["--n", "6", "--size", "6", "--workers", "2"],
+    ["--n", "0"],
+    ["--n", "7"],
+    ["--n", "17", "--size", "1"],
+]
 
 
 def recorded_strata() -> list[dict]:
@@ -109,6 +133,12 @@ def main() -> int:
         print(f"{h.hexdigest()}  {label}")
     print(f"{total.hexdigest()}  total of {len(documents) * len(COMMANDS)} "
           f"calls on {len(documents)} inputs")
+    for argv in SWEEPS:
+        h = hashlib.sha256()
+        for fmt in ("text", "structured"):
+            rc, out, err = run(["sweep", *argv, "--format", fmt], "")
+            h.update(f"{rc}\0{out}\0{err}\0".encode("utf-8"))
+        print(f"{h.hexdigest()}  sweep {' '.join(argv)}, both formats")
     print(f"recorded digests: {matched} of {recorded} match")
     return 0 if matched == recorded else 1
 

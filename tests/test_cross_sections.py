@@ -12,7 +12,7 @@ from liestrata import (DimensionMismatchError, OutsideDomainError,
                        UnsupportedShapeError, WNotQuadrupleDerivedError,
                        brute_force_jacobiator, cross_section, curve_samples,
                        delta_domain, dominance_certificate, evaluate_jacobi,
-                       f_jacobian, f_value, jacobi_system, left_null_basis,
+                       f_jacobian, jacobi_system, left_null_basis,
                        lemma58_certificate, lie_points, point_at, sigma_point,
                        solve_branch_fixtures, structure_vector, w_vector)
 from liestrata import cross_sections, parse_index_set
@@ -26,6 +26,7 @@ from liestrata.triples import IndexSet, enumerate_theta
 
 import conftest
 import jacobian_oracle
+from jacobian_oracle import f_value
 from conftest import random_index_set, random_rational
 from fm_oracle import fm_implied, fm_line_meets_domain
 from lp_oracle import fraction_implied

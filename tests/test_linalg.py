@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from liestrata import (DimensionMismatchError, Triple, UPSILON,
                        gf2_column_space_contains, gf2_coset_transversal,
-                       gf2_rank, gf2_root_matrix, in_column_space,
-                       left_null_basis, rank, root_matrix, root_vector,
-                       span_equals, validate_index_set)
+                       gf2_rank, gf2_root_matrix, left_null_basis, rank,
+                       root_matrix, root_vector, span_equals,
+                       validate_index_set)
 from liestrata.linalg import (gf2_column_space, primitive,
                               primitive_span_basis, transpose)
 
@@ -64,6 +64,16 @@ def test_kernel_one_quad_mult3(one_quad_mult3):
     assert len(basis) == 2
     assert span_equals(basis, [(0, 1, 0, -1, -1, 1, 0),
                                (1, 0, 0, -1, -1, 0, 1)])
+
+
+def in_column_space(rows, v) -> bool:
+    """Whether v (length m, rational) lies in Col(Y): v ⟂ Null(Y^T)."""
+    if len(v) != len(rows):
+        raise DimensionMismatchError(
+            f"vector length {len(v)} != row count {len(rows)}")
+    vals = [Fraction(x) for x in v]
+    return all(sum(w[i] * vals[i] for i in range(len(w))) == 0
+               for w in left_null_basis(rows))
 
 
 def test_in_column_space(one_quad_mult2):

@@ -4,11 +4,13 @@ plain enumeration and the document the CLI used to build in memory."""
 import json
 import random
 from functools import lru_cache
+from math import comb
 
 import pytest
 
 from liestrata import (classify, obstruction_status, parse_index_set,
                        quadruple_table)
+from liestrata import cli
 from liestrata.cli import main
 from liestrata.jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
                               OBSTRUCTION_NONTRIVIAL)
@@ -88,6 +90,23 @@ def test_blocks_hold_plain_records(classification, want_classification):
                 assert field is None or type(field) in (int, str)
 
 
+@pytest.mark.parametrize("m,k,first", [(20, 3, 0), (20, 10, 0), (20, 10, 7),
+                                       (35, 4, 0), (35, 6, 2), (10, 2, 3)])
+@pytest.mark.parametrize("bound", (1, 3, 100, 8192))
+def test_split_runs_cover_the_block_in_order(monkeypatch, m, k, first, bound):
+    monkeypatch.setattr(sweep, "LEAF_BOUND", bound)
+    leaves = [comb(m - 1 - s, k - 2) for s in range(m)]
+    runs = sweep._split(m, k, first)
+    if comb(m - 1 - first, k - 1) <= bound:
+        assert runs == [None]
+        return
+    seconds = [s for run in runs for s in run]
+    assert seconds == list(range(first + 1, m - k + 2))
+    for run in runs:
+        # a run over the bound is a single second index
+        assert sum(leaves[s] for s in run) <= bound or len(run) == 1
+
+
 def test_pattern_labels_contain_every_classify_verdict():
     # the walk drops a stratum on its pattern alone; classify must agree
     rng = random.Random(41)
@@ -160,6 +179,34 @@ def old_text(summaries):
     return "\n".join(lines) + "\n"
 
 
+def old_entry(s):
+    """A summary's element of the "strata" list, as json.dumps writes it at
+    depth 2 of the whole document."""
+    return json.dumps({"triples": [list(t) for t in s.triples],
+                       "size": s.size, "obstruction": s.obstruction,
+                       "classification": s.classification,
+                       "multiplicities": list(s.multiplicities)},
+                      indent=2).replace("\n", "\n    ")
+
+
+# n = 1 and 2 have an empty theta and only the size-0 stratum
+@pytest.mark.parametrize("n,max_size", [(1, None), (2, None), (5, None),
+                                        (6, 3)])
+@pytest.mark.parametrize("workers", (1, 2))
+def test_rendered_stream_matches_plain_enumeration(monkeypatch, n, max_size,
+                                                   workers):
+    # a tiny leaf bound splits every block of more than three strata
+    monkeypatch.setattr(sweep, "LEAF_BOUND", 3)
+    ref = oracle(n, max_size, True)
+    for render, expected in (
+            (cli._render_line, old_text(ref).splitlines(keepends=True)),
+            (cli._render_entry, [old_entry(s) for s in ref])):
+        got = list(sweep_strata(n, max_size=max_size, workers=workers,
+                                render=render))
+        assert [s[1:] for s in got] == [s[1:] for s in ref]
+        assert [s[0] for s in got] == expected[:len(ref)]
+
+
 GOLDEN = [
     (["--n", "4"], 4, None, None, False),
     (["--n", "5", "--filter", "finite-1q2"], 5, None, "finite-1q2", False),
@@ -173,11 +220,15 @@ def test_streamed_sweep_output_is_unchanged(capsys, argv, n, obstruction,
                                             classification, discard):
     summaries = [s for s in oracle(n, None, True)
                  if keep(s, obstruction, classification, discard)]
+    # compared by lines (equal exactly when the strings are): a failure
+    # then names the first differing line instead of diffing the document
     assert main(["sweep", *argv, "--format", "structured"]) == 0
     structured = capsys.readouterr().out
-    assert structured == old_structured(argv, summaries)
+    assert structured.splitlines(keepends=True) == \
+        old_structured(argv, summaries).splitlines(keepends=True)
     assert main(["sweep", *argv]) == 0
-    assert capsys.readouterr().out == old_text(summaries)
+    assert capsys.readouterr().out.splitlines(keepends=True) == \
+        old_text(summaries).splitlines(keepends=True)
     if not summaries:
         assert '"strata": [],' in structured
 
