@@ -24,7 +24,7 @@ from .jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
 from .quadruples import CLASSIFICATIONS
 from .report import (build_analysis_report, build_cross_section_report,
                      build_isomorphism_report, render_text, SWEEP_SCHEMA)
-from .sweep import WORKERS_ENV, sweep_counts, sweep_strata, workers_from_env
+from .sweep import sweep_counts, sweep_strata
 from .triples import (IndexSet, StructureVector, decode_json,
                       enumerate_theta, index_set_document,
                       index_set_from_json, parse_index_set, structure_vector)
@@ -264,7 +264,7 @@ def cmd_sweep(args) -> int:
         args.n, max_size=args.max_size, size=args.size, cap=args.cap,
         obstruction=obstruction, classification=classification,
         discard_obstructed=args.discard_obstructed,
-        workers=workers_from_env() if args.workers is None else args.workers,
+        workers=args.workers,
         render=_render_entry if structured else _render_line)
     out = sys.stdout
     if structured:
@@ -337,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", default=None,
                    help="obstruction status or classification label")
     p.add_argument("--discard-obstructed", action="store_true")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"worker processes (default ${WORKERS_ENV} or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (default 1)")
     add_format(p)
     p.set_defaults(func=cmd_sweep)
     return parser

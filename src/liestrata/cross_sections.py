@@ -44,9 +44,8 @@ class CrossSectionSpec:
 
 
 def cross_section(lam: IndexSet, a0: Sequence | None = None,
-                  p=Fraction(1), W: Sequence[IntVector] | None = None,
-                  T: Sequence[tuple[int, ...]] | None = None,
-                  require_lie_center: bool = False) -> CrossSectionSpec:
+                  p=Fraction(1), W: Sequence[IntVector] | None = None
+                  ) -> CrossSectionSpec:
     """Build a validated spec; defaults give the canonical cross section."""
     m = len(lam)
     if a0 is None:
@@ -74,12 +73,7 @@ def cross_section(lam: IndexSet, a0: Sequence | None = None,
     p = Fraction(p)
     if p == 0:
         raise OutsideDomainError("exponent must be nonzero")
-    trans = gf2_coset_transversal(lam) if T is None else tuple(map(tuple, T))
-    spec = CrossSectionSpec(lam, center, dirs, p, trans)
-    if require_lie_center and not center_is_lie(spec):
-        raise OutsideDomainError(
-            "center point does not satisfy the Jacobi system")
-    return spec
+    return CrossSectionSpec(lam, center, dirs, p, gf2_coset_transversal(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +86,7 @@ class LinearInequality:
     """const + coeffs . params > 0."""
 
     const: Fraction
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
     positions: tuple[int, ...] = ()
 
     def evaluate(self, params: Sequence) -> Fraction:
@@ -137,7 +131,7 @@ def delta_domain(spec: CrossSectionSpec) -> PolytopeDomain:
     by_dir: dict[IntVector, tuple[Fraction, LinearInequality]] = {}
     for k in range(len(spec.lam)):
         const = spec.a0[k]
-        coeffs = tuple(Fraction(w[k]) for w in spec.W)
+        coeffs = tuple(w[k] for w in spec.W)
         if all(c == 0 for c in coeffs):
             continue  # a0 > 0 makes the constraint vacuous
         direction = primitive(coeffs)

@@ -93,6 +93,8 @@ def aligned(t1: Triple, t2: Triple) -> bool:
     return root_dot(t1, t2) == -1
 
 
+# Unbounded, but kept: classify builds a fresh quadruple table per stratum,
+# and those tables re-pair the same triples, so a classifying sweep gains.
 @lru_cache(maxsize=None)
 def _pair_info(t1: Triple, t2: Triple) -> tuple[Quadruple, int] | None:
     """(quadruple, sign) of an aligned pair, None when not aligned.

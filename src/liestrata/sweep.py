@@ -1,24 +1,24 @@
 """Deterministic census sweeps over all index sets inside Theta_n.
 
 Strata are enumerated by size and then lexicographically by triple sequence,
-one task per (size, first triple) block.  A block is walked depth first:
-adding a triple raises the multiplicity of the quadruple of every aligned
-pair it forms with the triples already chosen, and removing it lowers them
-again.  Each stratum's obstruction status and the labels it can still get
-come from those running counts through quadruples.stratum_status, so a
-stratum is dropped before its triples are built, and the rational kernel is
-only computed when its multiplicity pattern leaves more than one label open.
+in tasks (prefix, run): the strata that start with the theta indices prefix
+and continue with an index in run.  A task is walked depth first: adding a
+triple raises the multiplicity of the quadruple of every aligned pair it
+forms with the triples already chosen, and removing it lowers them again.
+Each stratum's obstruction status and the labels it can still get come from
+those running counts through quadruples.stratum_status, so a stratum is
+dropped before its triples are built, and the rational kernel is only
+computed when its multiplicity pattern leaves more than one label open.
 
-A block returns plain records, not summaries: (theta indices, obstruction,
+A task returns plain records, not summaries: (theta indices, obstruction,
 classification, multiplicities).  Without a renderer the calling process
 turns each record into a StratumSummary.  With one, the process that walks
-a block also renders it: a pool worker sends back each stratum's text in
+a task also renders it: a pool worker sends back each stratum's text in
 place of its indices, and the serial path renders each record as it is
 yielded.  The process pool is imported only when a sweep starts one; it is
-given tasks at most workers + 1 ahead of the one being consumed, and a
-block with more than LEAF_BOUND leaves is split into runs of its second
-index, so neither the parent nor a worker holds more than a few tasks'
-results.
+given tasks at most workers + 1 ahead of the one being consumed, and no
+task holds more than LEAF_BOUND strata (see _split), so neither the parent
+nor a worker holds more than a few tasks' results.
 """
 
 from __future__ import annotations
@@ -35,15 +35,13 @@ from .quadruples import (OBSTRUCTION_EMPTY, classify, stratum_status,
                          _pair_info)
 from .triples import IndexSet, THETA, Triple, enumerate_theta
 
-WORKERS_ENV = "LIESTRATA_WORKERS"
 # No cap lifts n above this.  The pair table grows with the square of
 # C(n, 3): building it took 0.41 s and 36 MB peak RSS at n = 16, 1.7 s and
 # 90 MB at n = 20, 5.4 s and 258 MB at n = 24 (Python 3.11, 2 vCPUs).
 MAX_N = 16
-# A (size, first) block with more leaves than this is walked as several
-# tasks, each a run of consecutive second indices.  census sweeps at n = 7,
-# size 4 have blocks of up to 5 984 leaves, which stay whole; at n = 6 a
-# block has up to 92 378.
+# No task holds more strata than this.  census sweeps at n = 7, size 4
+# have (size, first) blocks of up to 5 984 leaves, which stay whole; at
+# n = 6 a block has up to 92 378.
 LEAF_BOUND = 8192
 
 
@@ -74,7 +72,7 @@ def _pair_cache(n: int):
 
 
 class _Walk:
-    """One block walk: the filters and the stratum currently visited.
+    """One task's walk: the filters and the stratum currently visited.
 
     ``counter`` maps each quadruple of the stratum's aligned pairs to its
     multiplicity and holds no zero entries, so its values are the
@@ -143,19 +141,14 @@ def _sizes(n: int, max_size, size) -> list[int]:
     return list(range(top + 1))
 
 
-def _block(args, seconds: range | None = None) -> list[tuple]:
-    """All matching records of one (size, first-index) enumeration block,
-    or of the part of it whose second index lies in ``seconds``."""
-    (n, k, first, obstruction, classification, discard, want_cls) = args
+def _block(args, prefix: tuple[int, ...], run: range | None) -> list[tuple]:
+    """All matching records of the strata of size k that start with the
+    theta indices ``prefix`` and continue with an index in ``run``, or
+    with any index when ``run`` is None."""
+    (n, k, obstruction, classification, discard, want_cls) = args
     theta, partners = _pair_cache(n)
     walk = _Walk(n, theta, obstruction, classification, discard, want_cls)
     out: list[tuple] = []
-    if k == 0:
-        if first == -1:
-            record = _summarize(walk)
-            if record is not None:
-                out.append(record)
-        return out
     combo, counter = walk.combo, walk.counter
     slack = len(theta) - k
 
@@ -182,31 +175,47 @@ def _block(args, seconds: range | None = None) -> list[tuple]:
                 else:
                     del counter[q]
 
-    if 0 <= first <= slack:
-        if seconds is None:
-            descend(0, (first,))
-        else:
-            # a single triple forms no pair: the counter stays empty
-            combo.append(first)
-            descend(1, seconds)
+    for c in prefix:  # pushed as descend pushes a candidate
+        row = partners[c]
+        for q in [row[a] for a in combo if a in row]:
+            counter[q] = counter.get(q, 0) + 1
+        combo.append(c)
+    depth = len(prefix)
+    if depth < k:
+        if run is None:
+            run = range(prefix[-1] + 1 if prefix else 0, slack + depth + 1)
+        descend(depth, run)
+    else:
+        record = _summarize(walk)
+        if record is not None:
+            out.append(record)
     return out
 
 
-def _split(m: int, k: int, first: int) -> list[range | None]:
-    """The second-index runs that cut block (k, first) of a theta of m
-    triples into tasks of at most LEAF_BOUND leaves, in order; [None]
-    keeps the block whole.  Second index s heads C(m-1-s, k-2) leaves."""
-    if k < 2 or comb(m - 1 - first, k - 1) <= LEAF_BOUND:
-        return [None]
-    runs, lo, leaves = [], first + 1, 0
-    for s in range(first + 1, m - k + 2):
-        count = comb(m - 1 - s, k - 2)
-        if leaves and leaves + count > LEAF_BOUND:
-            runs.append(range(lo, s))
+def _split(m: int, k: int, prefix: tuple[int, ...]) -> list[tuple]:
+    """Tasks (prefix, run) of at most LEAF_BOUND leaves each that cover,
+    in order, the strata of size k of a theta of m triples that start with
+    ``prefix``.  Consecutive next indices are packed into runs; one that
+    heads more than LEAF_BOUND leaves is split one level down.  Next index
+    s heads C(m-1-s, k-d-1) leaves, d = len(prefix)."""
+    d = len(prefix)
+    start = prefix[-1] + 1 if prefix else 0
+    if comb(m - start, k - d) <= LEAF_BOUND:
+        return [(prefix, None)]
+    tasks, lo, leaves = [], start, 0
+    for s in range(start, m - k + d + 1):
+        count = comb(m - 1 - s, k - d - 1)
+        if lo < s and leaves + count > LEAF_BOUND:
+            tasks.append((prefix, range(lo, s)))
             lo, leaves = s, 0
-        leaves += count
-    runs.append(range(lo, m - k + 2))
-    return runs
+        if count > LEAF_BOUND:
+            tasks += _split(m, k, prefix + (s,))
+            lo = s + 1
+        else:
+            leaves += count
+    if leaves:
+        tasks.append((prefix, range(lo, m - k + d + 1)))
+    return tasks
 
 
 def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
@@ -227,21 +236,22 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
     name and renders its own tasks; serially each record is rendered as it
     is yielded.
 
-    The caps are checked and the pair table is built by the call itself, so
-    a refused sweep raises before its caller has written anything; the
-    returned generator then walks the blocks.
+    The caps are checked, the pair table is built and the tasks are listed
+    by the call itself, so a refused sweep raises before its caller has
+    written anything; the returned generator then walks the tasks, each of
+    at most LEAF_BOUND strata, serially or in a pool of at most
+    ``workers`` processes.
     """
     _check_caps(n, max_size, size, cap)
     theta, _ = _pair_cache(n)
     want_cls = n <= 6 or classification is not None
-    tasks = []
+    m, tasks = len(theta), []
     for k in _sizes(n, max_size, size):
-        firsts = [-1] if k == 0 else range(len(theta) - k + 1)
-        for first in firsts:
-            args = (n, k, first, obstruction, classification,
-                    discard_obstructed, want_cls)
-            tasks += [(args, seconds)
-                      for seconds in _split(len(theta), k, first)]
+        args = (n, k, obstruction, classification, discard_obstructed,
+                want_cls)
+        heads = [()] if k == 0 else [(first,) for first in range(m - k + 1)]
+        for head in heads:
+            tasks += [(args, *task) for task in _split(m, k, head)]
     return _walk_blocks(tasks, pool_size(workers, len(tasks)), n, render)
 
 
@@ -284,9 +294,9 @@ def _rendered(blocks: Iterable[list[tuple]], render,
             yield render(record, n), obstruction, classification, mults
 
 
-def _rendered_block(render, args, seconds=None) -> list[tuple]:
+def _rendered_block(render, args, prefix, run) -> list[tuple]:
     """A pool task with its records rendered in the worker."""
-    return list(_rendered((_block(args, seconds),), render, args[0]))
+    return list(_rendered((_block(args, prefix, run),), render, args[0]))
 
 
 def _summaries(blocks: Iterable[list[tuple]],
@@ -301,14 +311,6 @@ def _summaries(blocks: Iterable[list[tuple]],
 def pool_size(workers: int, tasks: int) -> int:
     """The worker processes worth starting: no more than the tasks or CPUs."""
     return min(workers, tasks, os.cpu_count() or 1)
-
-
-def workers_from_env(default: int = 1) -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw)) if raw else default
-    except ValueError:
-        return default
 
 
 def sweep_counts(summaries: Iterable[tuple]) -> dict:

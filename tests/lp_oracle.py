@@ -22,10 +22,12 @@ def fraction_implied(candidate, others) -> bool:
     for i, q in enumerate(others):
         slack = [zero] * m
         slack[i] = one
-        rows.append([-c for c in q.coeffs] + list(q.coeffs) + slack)
-    rhs = [q.const for q in others]
+        coeffs = [Fraction(c) for c in q.coeffs]
+        rows.append([-c for c in coeffs] + coeffs + slack)
+    rhs = [Fraction(q.const) for q in others]
     basis = list(range(2 * d, 2 * d + m))
-    cost = list(candidate.coeffs) + [-c for c in candidate.coeffs] + [zero] * m
+    coeffs = [Fraction(c) for c in candidate.coeffs]
+    cost = coeffs + [-c for c in coeffs] + [zero] * m
     value = candidate.const  # the candidate at the current vertex
     while True:
         enter = next((j for j, r in enumerate(cost) if r < 0), None)

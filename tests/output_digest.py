@@ -51,8 +51,9 @@ COMMANDS = {
 SEED = 7
 # sweeps: serial and pooled, the filters, --discard-obstructed, n = 7 with
 # classification off and on, n = 1 and 2 (theta is empty), no strata,
-# blocks split into tasks (n = 6, size 6), and refused ones (n = 0, n = 7
-# without a size, n = 17)
+# blocks split into tasks (n = 6: size 6 at the second index, size 10 also
+# at the third and fourth), and refused ones (n = 0, n = 7 without a size,
+# n = 17)
 SWEEPS = [
     ["--n", "4"],
     ["--n", "5"],
@@ -68,6 +69,8 @@ SWEEPS = [
     ["--n", "4", "--size", "9"],
     ["--n", "6", "--size", "6"],
     ["--n", "6", "--size", "6", "--workers", "2"],
+    ["--n", "6", "--size", "10"],
+    ["--n", "6", "--size", "10", "--workers", "2"],
     ["--n", "0"],
     ["--n", "7"],
     ["--n", "17", "--size", "1"],

@@ -13,7 +13,7 @@ from liestrata import (CapExceededError, IndexOutOfRangeError,
                        MalformedInputError, enumerate_theta,
                        gf2_coset_transversal, parse_index_set)
 from liestrata import cli, linalg, sweep, triples
-from liestrata.sweep import WORKERS_ENV, pool_size
+from liestrata.sweep import pool_size
 
 from conftest import (FILIFORM4, MULT2_PLUS_MULT3, ONE_QUAD_MULT2,
                       ONE_QUAD_MULT3, TWO_QUADS_MULT2)
@@ -314,11 +314,12 @@ def test_index_set_rejects_dimension_below_one():
 
 
 # ---------------------------------------------------------------------------
-# One parser per process; the environment is read when a sweep runs
+# One parser per process; --workers alone sets a sweep's worker count
 # ---------------------------------------------------------------------------
 
 
-def test_parser_is_built_once_and_sweeps_read_the_environment(monkeypatch):
+def test_parser_is_built_once_and_sweeps_take_workers_from_the_flag(
+        monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     seen = []
 
@@ -327,14 +328,11 @@ def test_parser_is_built_once_and_sweeps_read_the_environment(monkeypatch):
         return iter(())
 
     monkeypatch.setattr(cli, "sweep_strata", recording_sweep)
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert run_main(["sweep", "--n", "4"])[0] == 0
-    monkeypatch.setenv(WORKERS_ENV, "2")
+    # the former LIESTRATA_WORKERS variable no longer sets the default
+    monkeypatch.setenv("LIESTRATA_WORKERS", "2")
     assert run_main(["sweep", "--n", "4"])[0] == 0
     assert run_main(["sweep", "--n", "4", "--workers", "3"])[0] == 0
-    monkeypatch.setenv(WORKERS_ENV, "junk")
-    assert run_main(["sweep", "--n", "4"])[0] == 0
-    assert seen == [1, 2, 3, 1]
+    assert seen == [1, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -329,15 +329,6 @@ def test_cli_isomorphic_wrong_length_vector(tmp_path):
     assert proc.returncode == 2
 
 
-def test_cli_cross_section_workers_env(monkeypatch, tmp_path):
-    # env var only feeds the sweep default; it must not break parsing
-    monkeypatch.setenv("LIESTRATA_WORKERS", "2")
-    from liestrata.sweep import workers_from_env
-    assert workers_from_env() == 2
-    monkeypatch.setenv("LIESTRATA_WORKERS", "junk")
-    assert workers_from_env() == 1
-
-
 def test_sweep_workers_parallel_matches_serial():
     from liestrata.sweep import sweep_strata
     serial = list(sweep_strata(5, max_size=4))

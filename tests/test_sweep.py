@@ -19,6 +19,7 @@ from liestrata.quadruples import (CLASSIFICATIONS, _PATTERN_LABELS,
 from liestrata import sweep
 from liestrata.report import SWEEP_SCHEMA
 from liestrata.sweep import sweep_strata
+from liestrata.triples import enumerate_theta
 
 from conftest import (MULT2_PLUS_MULT3, ONE_QUAD_MULT2, ONE_QUAD_MULT3,
                       ONE_QUAD_NON_SPANNING, TWO_QUADS_MULT2,
@@ -78,8 +79,8 @@ def test_sweep_without_classification_matches_plain_enumeration(obstruction):
                          [(None, False), (None, True), ("finite-1q2", True)])
 def test_blocks_hold_plain_records(classification, want_classification):
     # what a pool worker pickles back: no Triple, no StratumSummary
-    records = sweep._block((7, 4, 0, None, classification, False,
-                            want_classification))
+    records = sweep._block((7, 4, None, classification, False,
+                            want_classification), (0,), None)
     assert records
     for record in records:
         assert type(record) is tuple and len(record) == 4
@@ -90,21 +91,113 @@ def test_blocks_hold_plain_records(classification, want_classification):
                 assert field is None or type(field) in (int, str)
 
 
+def check_tasks(m, k, tasks, bound):
+    """Each task (prefix, run) holds 1 to ``bound`` strata, and the tasks
+    cover consecutive lexicographic ranks of the k-subsets of range(m),
+    counted by comb alone; returns the ranks [lo, hi) they cover."""
+
+    @lru_cache(maxsize=None)
+    def start(prefix):
+        # rank of the first k-subset that begins with prefix = head + (p,):
+        # it follows those before head's first subset and those that begin
+        # with head + (j,), prev < j < p, C(m-1-prev, k-i) - C(m-p, k-i)
+        # of them (the hockey-stick identity)
+        if not prefix:
+            return 0
+        head, p = prefix[:-1], prefix[-1]
+        i, prev = len(head), head[-1] if head else -1
+        assert prev < p <= m - k + i
+        return start(head) + comb(m - 1 - prev, k - i) - comb(m - p, k - i)
+
+    lo = end = None
+    for prefix, run in tasks:
+        first, d = start(prefix), len(prefix)
+        prev = prefix[-1] if prefix else -1
+        if run is None:
+            count = comb(m - 1 - prev, k - d)
+        else:
+            assert d < k and prev < run.start < run.stop <= m - k + d + 1
+            first += comb(m - 1 - prev, k - d) - comb(m - run.start, k - d)
+            count = comb(m - run.start, k - d) - comb(m - run.stop, k - d)
+        assert 0 < count <= bound, (prefix, run)
+        assert end is None or first == end, (prefix, run)
+        lo = first if lo is None else lo
+        end = first + count
+    return lo, end
+
+
 @pytest.mark.parametrize("m,k,first", [(20, 3, 0), (20, 10, 0), (20, 10, 7),
                                        (35, 4, 0), (35, 6, 2), (10, 2, 3)])
 @pytest.mark.parametrize("bound", (1, 3, 100, 8192))
 def test_split_runs_cover_the_block_in_order(monkeypatch, m, k, first, bound):
     monkeypatch.setattr(sweep, "LEAF_BOUND", bound)
-    leaves = [comb(m - 1 - s, k - 2) for s in range(m)]
-    runs = sweep._split(m, k, first)
+    tasks = sweep._split(m, k, (first,))
     if comb(m - 1 - first, k - 1) <= bound:
-        assert runs == [None]
-        return
-    seconds = [s for run in runs for s in run]
-    assert seconds == list(range(first + 1, m - k + 2))
-    for run in runs:
-        # a run over the bound is a single second index
-        assert sum(leaves[s] for s in run) <= bound or len(run) == 1
+        assert tasks == [((first,), None)]
+    lo, hi = check_tasks(m, k, tasks, bound)
+    # the block is every k-subset whose least index is first
+    assert lo == comb(m, k) - comb(m - first, k)
+    assert hi - lo == comb(m - 1 - first, k - 1)
+
+
+# every size at n = 6; n = 7 and 8 at the sizes a capped census runs.  The
+# tasks number at least C(m, k) / bound, so sizes with more than 2^16 times
+# the bound strata are left to the larger bounds (n = 8, size 6 has
+# 32 468 436 strata).
+SPLIT_SIZES = [(6, k) for k in range(21)] + [(7, 4), (7, 5), (7, 6), (8, 6)]
+
+
+@pytest.mark.parametrize("bound", (1, 3, 100, sweep.LEAF_BOUND))
+def test_sweep_tasks_hold_at_most_the_bound(monkeypatch, bound):
+    default = sweep.LEAF_BOUND
+    monkeypatch.setattr(sweep, "LEAF_BOUND", bound)
+    monkeypatch.setattr(sweep, "_walk_blocks", lambda tasks, *rest: tasks)
+    for n, k in SPLIT_SIZES:
+        m = comb(n, 3)
+        if comb(m, k) > bound << 16:
+            continue
+        tasks = sweep.sweep_strata(n, size=k)
+        assert all(args[:2] == (n, k) for args, _, _ in tasks)
+        tasks = [task[1:] for task in tasks]
+        assert check_tasks(m, k, tasks, bound) == (0, comb(m, k)), (n, k)
+        # a (size, first) block within the bound stays one task
+        for first in range(m - k + 1) if k else ():
+            if comb(m - 1 - first, k - 1) <= bound:
+                assert ((first,), None) in tasks
+    if bound == default:
+        # the benchmark's census sweeps: every block whole at size 4, the
+        # five largest size-5 blocks cut at their second index
+        assert [len(sweep.sweep_strata(7, size=k)) for k in (4, 5)] == \
+            [32, 67]
+
+
+@pytest.mark.parametrize("n,sizes", [(5, range(11)), (6, range(6))])
+def test_block_tasks_match_the_oracle_slice(n, sizes):
+    rng = random.Random(1000 + n)
+    theta = enumerate_theta(n)
+    m, index = len(theta), {t: i for i, t in enumerate(theta)}
+    ref = {k: [s for s in oracle(n, max(sizes), True) if s.size == k]
+           for k in sizes}
+    for _ in range(60):
+        k = rng.choice(sizes)
+        d = rng.randint(0, k)
+        prefix = tuple(sorted(rng.sample(range(m - k + d), d)))
+        low = prefix[-1] + 1 if prefix else 0
+        run = None
+        if d < k and rng.random() < 0.7:
+            stop = rng.randint(low + 1, m - k + d + 1)
+            run = range(rng.randint(low, stop - 1), stop)
+        obstruction, classification = rng.choice(FILTERS)
+        discard = rng.random() < 0.3
+        args = (n, k, obstruction, classification, discard, True)
+        got = list(sweep._summaries([sweep._block(args, prefix, run)], theta))
+        expected = []
+        for s in ref[k]:
+            combo = tuple(index[t] for t in s.triples)
+            if combo[:d] == prefix and (run is None or combo[d] in run) \
+                    and keep(s, obstruction, classification, discard):
+                expected.append(s)
+        assert got == expected, (k, prefix, run)
 
 
 def test_pattern_labels_contain_every_classify_verdict():
