@@ -200,29 +200,37 @@ def _triple_fragments(n: int) -> tuple[list[str], list[str]]:
     return [_nested(list(t), 4) for t in theta], [str(t) for t in theta]
 
 
-def _render_entry(record, n: int) -> str:
-    """A sweep record as its element of the "strata" list, at depth 2.
+def _render_entries(records, n: int) -> list[tuple]:
+    """Each sweep record as (its element of the "strata" list at depth 2,
+    obstruction, classification, multiplicities).
 
     The fields after the triples repeat across strata, so their text is
     rendered once and reused.
     """
-    indices, obstruction, classification, mults = record
-    listed = ("[\n        " + ",\n        ".join(
-        map(_triple_fragments(n)[0].__getitem__, indices)) + "\n      ]"
-        if indices else "[]")
-    return ('{\n      "triples": ' + listed + ","
-            + _entry_tail_json(len(indices), obstruction, classification,
-                               mults))
+    triple = _triple_fragments(n)[0].__getitem__
+    items = []
+    for indices, obstruction, classification, mults in records:
+        listed = ("[\n        " + ",\n        ".join(map(triple, indices))
+                  + "\n      ]" if indices else "[]")
+        items.append(('{\n      "triples": ' + listed + ","
+                      + _entry_tail_json(len(indices), obstruction,
+                                         classification, mults),
+                      obstruction, classification, mults))
+    return items
 
 
-def _render_line(record, n: int) -> str:
-    """A sweep record as its line of text output."""
-    indices, obstruction, classification, _ = record
-    listed = " ".join(map(_triple_fragments(n)[1].__getitem__, indices)) \
-        if indices else "(empty)"
-    cls = classification if classification is not None else "-"
-    return (f"size={len(indices)} {listed} obstruction={obstruction} "
-            f"classification={cls}\n")
+def _render_lines(records, n: int) -> list[tuple]:
+    """Each sweep record as (its line of text output, obstruction,
+    classification, multiplicities)."""
+    triple = _triple_fragments(n)[1].__getitem__
+    items = []
+    for indices, obstruction, classification, mults in records:
+        listed = " ".join(map(triple, indices)) if indices else "(empty)"
+        cls = classification if classification is not None else "-"
+        items.append((f"size={len(indices)} {listed} "
+                      f"obstruction={obstruction} classification={cls}\n",
+                      obstruction, classification, mults))
+    return items
 
 
 def _streamed_entries(stream, out):
@@ -245,8 +253,8 @@ def _text_lines(stream, out):
 def cmd_sweep(args) -> int:
     """Stream the sweep: each stratum is written as soon as it arrives.
 
-    The sweep renders each stratum where it is walked, through
-    _render_entry or _render_line.  The structured document is written
+    The sweep renders each task's strata where the task is walked, through
+    _render_entries or _render_lines.  The structured document is written
     piece by piece with the exact bytes ``json.dumps(doc, indent=2)`` would
     give, so memory stays flat however many strata the sweep emits.
     """
@@ -265,7 +273,7 @@ def cmd_sweep(args) -> int:
         obstruction=obstruction, classification=classification,
         discard_obstructed=args.discard_obstructed,
         workers=args.workers,
-        render=_render_entry if structured else _render_line)
+        render=_render_entries if structured else _render_lines)
     out = sys.stdout
     if structured:
         head = {"schema": SWEEP_SCHEMA, "n": args.n, "size": args.size,

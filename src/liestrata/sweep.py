@@ -13,12 +13,12 @@ computed when its multiplicity pattern leaves more than one label open.
 A task returns plain records, not summaries: (theta indices, obstruction,
 classification, multiplicities).  Without a renderer the calling process
 turns each record into a StratumSummary.  With one, the process that walks
-a task also renders it: a pool worker sends back each stratum's text in
-place of its indices, and the serial path renders each record as it is
-yielded.  The process pool is imported only when a sweep starts one; it is
-given tasks at most workers + 1 ahead of the one being consumed, and no
-task holds more than LEAF_BOUND strata (see _split), so neither the parent
-nor a worker holds more than a few tasks' results.
+a task, a pool worker or the caller, also renders it: render(records, n)
+turns the task's records into the items the sweep yields.  The process pool
+is imported only when a sweep starts one; it is given tasks at most
+workers + 1 ahead of the one being consumed, and no task holds more than
+LEAF_BOUND strata (see _split), so neither the parent nor a worker holds
+more than a few tasks' results.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from __future__ import annotations
 import os
 from collections import Counter, deque
 from functools import lru_cache, partial
-from itertools import starmap
+from itertools import chain, starmap
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import CapExceededError
+from .errors import CapExceededError, MalformedInputError
 from .quadruples import (OBSTRUCTION_EMPTY, classify, stratum_status,
                          _pair_info)
 from .triples import IndexSet, THETA, Triple, enumerate_theta
@@ -71,57 +71,35 @@ def _pair_cache(n: int):
     return theta, partners
 
 
-class _Walk:
-    """One task's walk: the filters and the stratum currently visited.
+def _summarize(args, theta: list[Triple], combo: list[int],
+               counter: dict) -> tuple | None:
+    """Record of the stratum of theta indices ``combo`` under the filters
+    in the task's ``args``, or None when it is dropped.
 
     ``counter`` maps each quadruple of the stratum's aligned pairs to its
-    multiplicity and holds no zero entries, so its values are the
-    stratum's quadruple multiplicities.  Slots rather than a dataclass,
-    whose generated methods would add to the import time of every CLI call.
+    multiplicity and holds no zero entries.  The filters first see the
+    status and possible labels of those multiplicities; classify runs only
+    when more than one label is open.
     """
-
-    __slots__ = ("n", "theta", "obstruction", "classification", "discard",
-                 "want_cls", "combo", "counter")
-
-    def __init__(self, n: int, theta: list[Triple], obstruction: str | None,
-                 classification: str | None, discard: bool, want_cls: bool):
-        self.n, self.theta = n, theta
-        self.obstruction, self.classification = obstruction, classification
-        self.discard, self.want_cls = discard, want_cls
-        self.combo: list[int] = []
-        self.counter: dict = {}
-
-
-def _summarize(walk: _Walk) -> tuple | None:
-    """Record of the walk's current stratum, or None when it is dropped.
-
-    A record is (theta indices, obstruction, classification, sorted
-    multiplicities): the fields of a StratumSummary with the triples given
-    by their indices into theta.
-
-    The filters first see the status and possible labels of the running
-    multiplicities; classify runs only when more than one label is open.
-    """
-    mults = walk.counter.values()
+    n, _, want_obstruction, want_label, discard, want_cls = args
+    mults = counter.values()
     obstruction, labels = stratum_status(mults)
-    if walk.discard and obstruction == OBSTRUCTION_EMPTY:
+    if discard and obstruction == OBSTRUCTION_EMPTY:
         return None
-    if walk.obstruction is not None and obstruction != walk.obstruction:
+    if want_obstruction is not None and obstruction != want_obstruction:
         return None
-    if walk.classification is not None and walk.classification not in labels:
+    if want_label is not None and want_label not in labels:
         return None
     classification = None
-    if walk.want_cls:
+    if want_cls:
         if len(labels) == 1:
             classification = labels[0]
         else:
-            triples = tuple(walk.theta[i] for i in walk.combo)
-            classification = classify(IndexSet(walk.n, triples, THETA))
-            if walk.classification is not None and \
-                    classification != walk.classification:
+            triples = tuple(theta[i] for i in combo)
+            classification = classify(IndexSet(n, triples, THETA))
+            if want_label is not None and classification != want_label:
                 return None
-    return (tuple(walk.combo), obstruction, classification,
-            tuple(sorted(mults)))
+    return (tuple(combo), obstruction, classification, tuple(sorted(mults)))
 
 
 def _check_caps(n: int, max_size, size, cap: int) -> None:
@@ -133,27 +111,28 @@ def _check_caps(n: int, max_size, size, cap: int) -> None:
         raise CapExceededError(f"n={n} needs --size or --max-size")
 
 
-def _sizes(n: int, max_size, size) -> list[int]:
-    total = len(enumerate_theta(n))
-    if size is not None:
-        return [size] if 0 <= size <= total else []
-    top = total if max_size is None else min(max_size, total)
-    return list(range(top + 1))
-
-
-def _block(args, prefix: tuple[int, ...], run: range | None) -> list[tuple]:
-    """All matching records of the strata of size k that start with the
+def _block(args, prefix: tuple[int, ...], run: range | None,
+           render: Callable[[list, int], list] | None = None) -> list:
+    """The matching records of the strata of size k that start with the
     theta indices ``prefix`` and continue with an index in ``run``, or
-    with any index when ``run`` is None."""
-    (n, k, obstruction, classification, discard, want_cls) = args
+    with any index when ``run`` is None; ``render(records, n)`` of them
+    when a renderer is given."""
+    n, k = args[0], args[1]
     theta, partners = _pair_cache(n)
-    walk = _Walk(n, theta, obstruction, classification, discard, want_cls)
+    combo: list[int] = []
+    counter: dict = {}
     out: list[tuple] = []
-    combo, counter = walk.combo, walk.counter
-    slack = len(theta) - k
+    slack, fixed = len(theta) - k, len(prefix)
 
-    def descend(depth: int, candidates: Iterable[int]) -> None:
-        # combo holds `depth` indices
+    def descend(depth: int) -> None:
+        # combo holds `depth` < k indices; the first len(prefix) are prefix
+        if depth < fixed:
+            candidates = range(prefix[depth], prefix[depth] + 1)
+        elif depth == fixed and run is not None:
+            candidates = run
+        else:
+            candidates = range(combo[-1] + 1 if combo else 0,
+                               slack + depth + 1)
         leaf = depth + 1 == k
         for c in candidates:
             row = partners[c]
@@ -162,11 +141,11 @@ def _block(args, prefix: tuple[int, ...], run: range | None) -> list[tuple]:
                 counter[q] = counter.get(q, 0) + 1
             combo.append(c)
             if leaf:
-                record = _summarize(walk)
+                record = _summarize(args, theta, combo, counter)
                 if record is not None:
                     out.append(record)
             else:
-                descend(depth + 1, range(c + 1, slack + depth + 2))
+                descend(depth + 1)
             combo.pop()
             for q in added:
                 m = counter[q] - 1
@@ -175,21 +154,13 @@ def _block(args, prefix: tuple[int, ...], run: range | None) -> list[tuple]:
                 else:
                     del counter[q]
 
-    for c in prefix:  # pushed as descend pushes a candidate
-        row = partners[c]
-        for q in [row[a] for a in combo if a in row]:
-            counter[q] = counter.get(q, 0) + 1
-        combo.append(c)
-    depth = len(prefix)
-    if depth < k:
-        if run is None:
-            run = range(prefix[-1] + 1 if prefix else 0, slack + depth + 1)
-        descend(depth, run)
-    else:
-        record = _summarize(walk)
+    if k:
+        descend(0)
+    else:  # size 0: the empty stratum, with no index to pick
+        record = _summarize(args, theta, combo, counter)
         if record is not None:
             out.append(record)
-    return out
+    return out if render is None else render(out, n)
 
 
 def _split(m: int, k: int, prefix: tuple[int, ...]) -> list[tuple]:
@@ -222,31 +193,37 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
                  cap: int = 8, obstruction: str | None = None,
                  classification: str | None = None,
                  discard_obstructed: bool = False, workers: int = 1,
-                 render: Callable[[tuple, int], str] | None = None
+                 render: Callable[[list, int], list] | None = None
                  ) -> Iterator[StratumSummary] | Iterator[tuple]:
     """Yield matching strata in (size, lexicographic) order, classified
     for n <= 6 or under a classification filter.
 
-    Without ``render`` each stratum is a StratumSummary.  With it, each is
-    a plain tuple (text, obstruction, classification, multiplicities), the
-    summary's fields with ``render(record, n)`` in place of the triples;
-    ``record`` is (theta indices, obstruction, classification,
-    multiplicities), indices into ``enumerate_theta(n)``.  ``render`` must
-    be a module-level function, since a pool worker receives it pickled by
-    name and renders its own tasks; serially each record is rendered as it
-    is yielded.
+    Without ``render`` each stratum is a StratumSummary.  With it, the
+    sweep yields the items ``render(records, n)`` returns for each task's
+    records (theta indices into ``enumerate_theta(n)``, obstruction,
+    classification, multiplicities).  ``render`` must be a module-level
+    function: a pool worker receives it pickled by name.
 
-    The caps are checked, the pair table is built and the tasks are listed
-    by the call itself, so a refused sweep raises before its caller has
-    written anything; the returned generator then walks the tasks, each of
-    at most LEAF_BOUND strata, serially or in a pool of at most
+    The call itself checks its arguments, builds the pair table and lists
+    the tasks, so a refused sweep (MalformedInputError for workers < 1 or
+    a negative size, CapExceededError for a cap) raises before its caller
+    has written anything.  The returned generator then walks the tasks,
+    each of at most LEAF_BOUND strata, serially or in a pool of at most
     ``workers`` processes.
     """
+    for name, value, least in (("workers", workers, 1), ("size", size, 0),
+                               ("max_size", max_size, 0)):
+        if value is not None and value < least:
+            raise MalformedInputError(f"{name}={value} is below {least}")
     _check_caps(n, max_size, size, cap)
     theta, _ = _pair_cache(n)
     want_cls = n <= 6 or classification is not None
     m, tasks = len(theta), []
-    for k in _sizes(n, max_size, size):
+    if size is None:
+        sizes = range((m if max_size is None else min(max_size, m)) + 1)
+    else:
+        sizes = [size] if size <= m else []
+    for k in sizes:
         args = (n, k, obstruction, classification, discard_obstructed,
                 want_cls)
         heads = [()] if k == 0 else [(first,) for first in range(m - k + 1)]
@@ -257,21 +234,15 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
 
 def _walk_blocks(tasks: list, workers: int, n: int,
                  render) -> Iterator[StratumSummary] | Iterator[tuple]:
+    work = partial(_block, render=render)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        work = _block if render is None else partial(_rendered_block, render)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = _windowed(pool, work, tasks, workers + 1)
-            if render is None:
-                yield from _summaries(blocks, _pair_cache(n)[0])
-            else:
-                for block in blocks:
-                    yield from block
-    elif render is None:
-        yield from _summaries(starmap(_block, tasks), _pair_cache(n)[0])
+            yield from _items(_windowed(pool, work, tasks, workers + 1),
+                              n, render)
     else:
-        yield from _rendered(starmap(_block, tasks), render, n)
+        yield from _items(starmap(work, tasks), n, render)
 
 
 def _windowed(pool, work, tasks: list, window: int) -> Iterator[list]:
@@ -286,17 +257,12 @@ def _windowed(pool, work, tasks: list, window: int) -> Iterator[list]:
         yield pending.popleft().result()
 
 
-def _rendered(blocks: Iterable[list[tuple]], render,
-              n: int) -> Iterator[tuple]:
-    for block in blocks:
-        for record in block:
-            _, obstruction, classification, mults = record
-            yield render(record, n), obstruction, classification, mults
-
-
-def _rendered_block(render, args, prefix, run) -> list[tuple]:
-    """A pool task with its records rendered in the worker."""
-    return list(_rendered((_block(args, prefix, run),), render, args[0]))
+def _items(blocks: Iterable[list], n: int, render) -> Iterator:
+    """The tasks' rendered items as they come, or their records as
+    summaries built in this process."""
+    if render is None:
+        return _summaries(blocks, _pair_cache(n)[0])
+    return chain.from_iterable(blocks)
 
 
 def _summaries(blocks: Iterable[list[tuple]],

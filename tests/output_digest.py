@@ -52,8 +52,9 @@ SEED = 7
 # sweeps: serial and pooled, the filters, --discard-obstructed, n = 7 with
 # classification off and on, n = 1 and 2 (theta is empty), no strata,
 # blocks split into tasks (n = 6: size 6 at the second index, size 10 also
-# at the third and fourth), and refused ones (n = 0, n = 7 without a size,
-# n = 17)
+# at the third and fourth), perfbench's census-json and census-classify
+# sweeps byte for byte (perfbench's check sorts the strata and skips the
+# multiplicities), and refused ones (n = 0, n = 7 without a size, n = 17)
 SWEEPS = [
     ["--n", "4"],
     ["--n", "5"],
@@ -71,6 +72,8 @@ SWEEPS = [
     ["--n", "6", "--size", "6", "--workers", "2"],
     ["--n", "6", "--size", "10"],
     ["--n", "6", "--size", "10", "--workers", "2"],
+    ["--n", "7", "--size", "4", "--workers", "2"],
+    ["--n", "7", "--size", "5", "--filter", "finite-1q2"],
     ["--n", "0"],
     ["--n", "7"],
     ["--n", "17", "--size", "1"],

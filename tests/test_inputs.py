@@ -199,6 +199,10 @@ def test_sweep_ceiling_is_checked_before_the_pair_table(monkeypatch):
     (["--n", "7"], 3),
     (["--n", "17", "--size", "1", "--cap", "20"], 3),
     (["--n", "0"], 2),
+    (["--n", "4", "--workers", "0"], 2),
+    (["--n", "4", "--workers", "-3"], 2),
+    (["--n", "4", "--size", "-1"], 2),
+    (["--n", "4", "--max-size", "-1"], 2),
 ])
 def test_refused_structured_sweep_writes_nothing(argv, code):
     rc, out, err = run_main(["sweep", *argv, "--format", "structured"])

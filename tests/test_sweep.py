@@ -79,8 +79,8 @@ def test_sweep_without_classification_matches_plain_enumeration(obstruction):
                          [(None, False), (None, True), ("finite-1q2", True)])
 def test_blocks_hold_plain_records(classification, want_classification):
     # what a pool worker pickles back: no Triple, no StratumSummary
-    records = sweep._block((7, 4, None, classification, False,
-                            want_classification), (0,), None)
+    args = (7, 4, None, classification, False, want_classification)
+    records = sweep._block(args, (0,), None)
     assert records
     for record in records:
         assert type(record) is tuple and len(record) == 4
@@ -89,6 +89,18 @@ def test_blocks_hold_plain_records(classification, want_classification):
                 assert all(type(i) is int for i in field)
             else:
                 assert field is None or type(field) in (int, str)
+    # with the CLI's renderers: one (text, obstruction, classification,
+    # multiplicities) item per record, and still no Triple
+    for render in (cli._render_entries, cli._render_lines):
+        items = sweep._block(args, (0,), None, render)
+        assert type(items) is list and len(items) == len(records)
+        for item, record in zip(items, records):
+            assert type(item) is tuple and len(item) == 4
+            text, obstruction, label, mults = item
+            assert type(text) is str and type(obstruction) is str
+            assert label is None or type(label) is str
+            assert type(mults) is tuple and all(type(i) is int for i in mults)
+            assert item[1:] == record[1:]
 
 
 def check_tasks(m, k, tasks, bound):
@@ -292,8 +304,8 @@ def test_rendered_stream_matches_plain_enumeration(monkeypatch, n, max_size,
     monkeypatch.setattr(sweep, "LEAF_BOUND", 3)
     ref = oracle(n, max_size, True)
     for render, expected in (
-            (cli._render_line, old_text(ref).splitlines(keepends=True)),
-            (cli._render_entry, [old_entry(s) for s in ref])):
+            (cli._render_lines, old_text(ref).splitlines(keepends=True)),
+            (cli._render_entries, [old_entry(s) for s in ref])):
         got = list(sweep_strata(n, max_size=max_size, workers=workers,
                                 render=render))
         assert [s[1:] for s in got] == [s[1:] for s in ref]
