@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Commands: analyze, jacobi, isomorphic, sweep, cross-section.  Exit codes:
-0 success, 2 input or parse error, 3 violated precondition (mode, caps,
-center point, unsupported shapes).
+0 success, 1 stdout closed by its reader, 2 input or parse error, 3
+violated precondition (mode, caps, center point, unsupported shapes).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -185,60 +186,92 @@ def _nested(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-@lru_cache(maxsize=None)
-def _entry_tail_json(size, obstruction, classification, multiplicities) -> str:
-    return _nested({"size": size, "obstruction": obstruction,
-                    "classification": classification,
-                    "multiplicities": list(multiplicities)}, 2)[1:]
-
-
 @lru_cache(maxsize=8)
-def _triple_fragments(n: int) -> tuple[list[str], list[str]]:
-    """Each theta triple's text, structured at depth 4 and plain, by its
-    index: rendered once per n in each process that renders a sweep."""
+def _triple_fragments(n: int) -> tuple[list[str], ...]:
+    """Each theta triple's text by its index, led by what goes before it
+    as a stratum's first and as a later triple: structured at depth 4,
+    then plain.  Rendered once per n in each process that renders a sweep.
+    """
     theta = enumerate_theta(n)
-    return [_nested(list(t), 4) for t in theta], [str(t) for t in theta]
+    structured = [_nested(list(t), 4) for t in theta]
+    plain = [str(t) for t in theta]
+    return (['{\n      "triples": [\n        ' + t for t in structured],
+            [",\n        " + t for t in structured], plain,
+            [" " + t for t in plain])
+
+
+def _task_items(records, first, rest, empty, tail, sep,
+                lead="") -> list[tuple]:
+    """One task's items (text, obstruction, classification, multiplicities),
+    one per record.  The first carries the whole task's text, built in one
+    join: ``lead``, then the entries with ``sep`` between them; the others
+    carry "", and equal ones are one tuple, which pickle sends once.
+
+    An entry is ``first`` of its first theta index (``empty`` for the empty
+    stratum), ``rest`` of each later one, and ``tail(obstruction,
+    classification, multiplicities)``, rendered once per distinct key.
+    """
+    known: dict = {}
+    parts = [lead]
+    append, later = parts.append, rest.__getitem__
+    items = []
+    for record in records:
+        indices, key = record[0], record[1:]
+        found = known.get(key)
+        if found is None:
+            found = known[key] = (tail(*key) + sep, ("", *key))
+        if indices:
+            append(first[indices[0]])
+            parts += map(later, indices[1:])
+        else:
+            append(empty)
+        append(found[0])
+        items.append(found[1])
+    if items:
+        parts[-1] = parts[-1].removesuffix(sep)
+        items[0] = ("".join(parts), *items[0][1:])
+    return items
 
 
 def _render_entries(records, n: int) -> list[tuple]:
-    """Each sweep record as (its element of the "strata" list at depth 2,
-    obstruction, classification, multiplicities).
+    """A task's records as _task_items: its text is the task's elements of
+    the "strata" list at depth 2, with the document's separators between
+    them."""
+    first, rest = _triple_fragments(n)[:2]
+    size = len(records[0][0]) if records else 0
+    close = "\n      ]," if size else ","
 
-    The fields after the triples repeat across strata, so their text is
-    rendered once and reused.
-    """
-    triple = _triple_fragments(n)[0].__getitem__
-    items = []
-    for indices, obstruction, classification, mults in records:
-        listed = ("[\n        " + ",\n        ".join(map(triple, indices))
-                  + "\n      ]" if indices else "[]")
-        items.append(('{\n      "triples": ' + listed + ","
-                      + _entry_tail_json(len(indices), obstruction,
-                                         classification, mults),
-                      obstruction, classification, mults))
-    return items
+    def tail(obstruction, classification, mults):
+        return close + _nested({
+            "size": size, "obstruction": obstruction,
+            "classification": classification,
+            "multiplicities": list(mults)}, 2)[1:]
+
+    return _task_items(records, first, rest, '{\n      "triples": []', tail,
+                       ",\n    ")
 
 
 def _render_lines(records, n: int) -> list[tuple]:
-    """Each sweep record as (its line of text output, obstruction,
-    classification, multiplicities)."""
-    triple = _triple_fragments(n)[1].__getitem__
-    items = []
-    for indices, obstruction, classification, mults in records:
-        listed = " ".join(map(triple, indices)) if indices else "(empty)"
+    """A task's records as _task_items: its text is the task's lines of
+    text output, each led by the task's size."""
+    first, rest = _triple_fragments(n)[2:]
+    head = f"size={len(records[0][0])} " if records else ""
+
+    def tail(obstruction, classification, mults):
         cls = classification if classification is not None else "-"
-        items.append((f"size={len(indices)} {listed} "
-                      f"obstruction={obstruction} classification={cls}\n",
-                      obstruction, classification, mults))
-    return items
+        return f" obstruction={obstruction} classification={cls}\n"
+
+    return _task_items(records, first, rest, "(empty)", tail, head, head)
 
 
 def _streamed_entries(stream, out):
-    """Write each rendered entry into the open "strata" list, then close it."""
+    """Write each task's text into the open "strata" list, then close it."""
     write, sep = out.write, "\n    "
     for s in stream:
-        write(sep + s[0])
-        sep = ",\n    "
+        if s[0]:
+            write(sep)
+            write(s[0])
+            sep = ",\n    "
         yield s
     write("]" if sep == "\n    " else "\n  ]")
 
@@ -246,17 +279,21 @@ def _streamed_entries(stream, out):
 def _text_lines(stream, out):
     write = out.write
     for s in stream:
-        write(s[0])
+        if s[0]:
+            write(s[0])
         yield s
 
 
 def cmd_sweep(args) -> int:
-    """Stream the sweep: each stratum is written as soon as it arrives.
+    """Stream the sweep: each task's strata are written as soon as they
+    arrive.
 
-    The sweep renders each task's strata where the task is walked, through
-    _render_entries or _render_lines.  The structured document is written
-    piece by piece with the exact bytes ``json.dumps(doc, indent=2)`` would
-    give, so memory stays flat however many strata the sweep emits.
+    The sweep renders each task where the task is walked, through
+    _render_entries or _render_lines, into one text carried by the task's
+    first item; the writer writes each such text with one call and feeds
+    every item to sweep_counts.  The structured document is written piece
+    by piece with the exact bytes ``json.dumps(doc, indent=2)`` would give,
+    so memory stays bounded by a task however many strata the sweep emits.
     """
     obstruction = classification = None
     if args.filter:
@@ -362,7 +399,17 @@ def main(argv=None) -> int:
             if value == []:
                 raise MalformedInputError(
                     f"--{name.replace('_', '-')} needs a value")
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader of stdout went away (``| head``): not an input error.
+        # What is still buffered goes to devnull, so the flush at exit stays
+        # quiet; exit 1, as the signal module's documentation advises.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -275,8 +275,14 @@ def _summaries(blocks: Iterable[list[tuple]],
 
 
 def pool_size(workers: int, tasks: int) -> int:
-    """The worker processes worth starting: no more than the tasks or CPUs."""
-    return min(workers, tasks, os.cpu_count() or 1)
+    """The worker processes worth starting: no more than the tasks or the
+    CPUs this process may run on (its affinity mask where the platform
+    has one, else os.cpu_count())."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(workers, tasks, cpus)
 
 
 def sweep_counts(summaries: Iterable[tuple]) -> dict:

@@ -54,7 +54,9 @@ SEED = 7
 # blocks split into tasks (n = 6: size 6 at the second index, size 10 also
 # at the third and fourth), perfbench's census-json and census-classify
 # sweeps byte for byte (perfbench's check sorts the strata and skips the
-# multiplicities), and refused ones (n = 0, n = 7 without a size, n = 17)
+# multiplicities), census-classify's sweep in a pool as well (many of its
+# tasks emit nothing; its digest equals the serial line's), and refused
+# ones (n = 0, n = 7 without a size, n = 17)
 SWEEPS = [
     ["--n", "4"],
     ["--n", "5"],
@@ -74,6 +76,7 @@ SWEEPS = [
     ["--n", "6", "--size", "10", "--workers", "2"],
     ["--n", "7", "--size", "4", "--workers", "2"],
     ["--n", "7", "--size", "5", "--filter", "finite-1q2"],
+    ["--n", "7", "--size", "5", "--filter", "finite-1q2", "--workers", "2"],
     ["--n", "0"],
     ["--n", "7"],
     ["--n", "17", "--size", "1"],

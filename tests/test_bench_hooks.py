@@ -10,7 +10,9 @@ import inspect
 import types
 from pathlib import Path
 
-from liestrata import sweep
+import pytest
+
+from liestrata import cli, sweep
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -51,3 +53,23 @@ def test_sweep_strata_returns_a_generator():
     stream = sweep.sweep_strata(5, size=3, workers=1)
     assert inspect.isgenerator(stream)
     stream.close()
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("render", (cli._render_entries, cli._render_lines))
+def test_traced_sweep_counts_one_item_per_emitted_stratum(render, workers):
+    # sweep.strata_emitted counts the items the traced sweep yields; a
+    # renderer puts a task's whole text on its first item, but still
+    # returns one item per stratum
+    tracer = load_spans().Tracer()
+    traced = tracer.generator("sweep.sweep_strata", sweep.sweep_strata,
+                              "sweep.strata_emitted")
+    items = list(traced(5, size=3, workers=workers, render=render))
+    assert tracer.counters["sweep.strata_emitted"] == len(items) == 120
+    # a label filter: 16 of the 252 strata of size 5, and tasks that emit
+    # none, which yield no item
+    emitted = list(sweep.sweep_strata(5, size=5, classification="finite-1q2"))
+    assert len(emitted) == 16
+    list(traced(5, size=5, classification="finite-1q2", workers=workers,
+                render=render))
+    assert tracer.counters["sweep.strata_emitted"] == 120 + 16

@@ -348,6 +348,8 @@ SIZES = (0, 1, 2, 3, 7, 10**6)
 
 @pytest.mark.parametrize("cpus", [None, 1, 2, 3, 64, 10**6])
 def test_pool_size_is_clamped(monkeypatch, cpus):
+    # a platform without affinity masks: the CPU count is all there is
+    monkeypatch.delattr(sweep.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
     for workers in SIZES[1:]:
         for tasks in SIZES:
@@ -355,6 +357,19 @@ def test_pool_size_is_clamped(monkeypatch, cpus):
             assert size <= min(workers, tasks, cpus or 1)
             if workers <= tasks and workers <= (cpus or 1):
                 assert size == workers
+
+
+@pytest.mark.parametrize("allowed", [{0}, {1, 3}, set(range(5))])
+def test_pool_size_counts_the_cpus_this_process_may_use(monkeypatch,
+                                                       allowed):
+    # an affinity mask (taskset, a container's cpuset) narrower than the
+    # machine bounds the pool, not the machine's CPU count
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(sweep.os, "sched_getaffinity",
+                        lambda pid: set(allowed), raising=False)
+    for workers in SIZES[1:]:
+        assert pool_size(workers, 10**6) == min(workers, len(allowed))
+    assert pool_size(64, 1) == 1
 
 
 class RecordingPool:
@@ -379,7 +394,8 @@ class RecordingPool:
 
 @pytest.mark.parametrize("cpus, started", [(2, [2]), (1, [])])
 def test_sweep_asks_for_a_clamped_pool(monkeypatch, cpus, started):
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sweep.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
     # the sweep imports the pool class from concurrent.futures when it runs
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)

@@ -22,14 +22,18 @@ from conftest import (DIM7, FILIFORM4, MULT2_PLUS_MULT3, ONE_QUAD_MULT2,
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(liestrata.__file__))
 
 
-def run_cli(args, stdin="", timeout=None):
+def child_env():
     # the child imports the same package as the tests, installed or not
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli(args, stdin="", timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "liestrata", *args],
-        input=stdin, capture_output=True, text=True, env=env,
+        input=stdin, capture_output=True, text=True, env=child_env(),
         timeout=timeout)
     return proc
 
@@ -334,6 +338,24 @@ def test_sweep_workers_parallel_matches_serial():
     serial = list(sweep_strata(5, max_size=4))
     parallel = list(sweep_strata(5, max_size=4, workers=2))
     assert serial == parallel
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_sweep_into_a_reader_that_closes_early(workers):
+    # as in `liestrata sweep --n 6 --max-size 6 | head -2`: the reader takes
+    # two lines and goes away with megabytes of the sweep still unwritten
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liestrata", "sweep", "--n", "6",
+         "--max-size", "6", "--workers", workers],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+    assert head[0].startswith(b"size=0 (empty) ")
+    assert head[1].startswith(b"size=1 (1,2,3) ")
 
 
 def test_sweep_size_filter_contains_known_stratum():

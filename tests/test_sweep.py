@@ -90,7 +90,9 @@ def test_blocks_hold_plain_records(classification, want_classification):
             else:
                 assert field is None or type(field) in (int, str)
     # with the CLI's renderers: one (text, obstruction, classification,
-    # multiplicities) item per record, and still no Triple
+    # multiplicities) item per record, and still no Triple; the first item
+    # carries the whole task's text and the others ""
+    summaries = list(sweep._summaries([records], enumerate_theta(7)))
     for render in (cli._render_entries, cli._render_lines):
         items = sweep._block(args, (0,), None, render)
         assert type(items) is list and len(items) == len(records)
@@ -101,6 +103,8 @@ def test_blocks_hold_plain_records(classification, want_classification):
             assert label is None or type(label) is str
             assert type(mults) is tuple and all(type(i) is int for i in mults)
             assert item[1:] == record[1:]
+        assert items[0][0] == written(render, summaries)
+        assert all(item[0] == "" for item in items[1:])
 
 
 def check_tasks(m, k, tasks, bound):
@@ -294,6 +298,16 @@ def old_entry(s):
                       indent=2).replace("\n", "\n    ")
 
 
+def written(render, summaries):
+    """What the CLI's writer puts out for these strata, in a row: their
+    lines of old_text, or their old_entry elements joined as the document
+    joins them."""
+    if render is cli._render_lines:
+        return "".join(old_text(summaries).splitlines(keepends=True)
+                       [:len(summaries)])
+    return ",\n    ".join(map(old_entry, summaries))
+
+
 # n = 1 and 2 have an empty theta and only the size-0 stratum
 @pytest.mark.parametrize("n,max_size", [(1, None), (2, None), (5, None),
                                         (6, 3)])
@@ -302,14 +316,31 @@ def test_rendered_stream_matches_plain_enumeration(monkeypatch, n, max_size,
                                                    workers):
     # a tiny leaf bound splits every block of more than three strata
     monkeypatch.setattr(sweep, "LEAF_BOUND", 3)
+    tasks = []
+    walk = sweep._walk_blocks
+    monkeypatch.setattr(sweep, "_walk_blocks",
+                        lambda listed, *rest: tasks.extend(listed)
+                        or walk(listed, *rest))
     ref = oracle(n, max_size, True)
-    for render, expected in (
-            (cli._render_lines, old_text(ref).splitlines(keepends=True)),
-            (cli._render_entries, [old_entry(s) for s in ref])):
+    theta = enumerate_theta(n)
+    for render in (cli._render_lines, cli._render_entries):
+        tasks.clear()
         got = list(sweep_strata(n, max_size=max_size, workers=workers,
                                 render=render))
         assert [s[1:] for s in got] == [s[1:] for s in ref]
-        assert [s[0] for s in got] == expected[:len(ref)]
+        # task by task, the first item carries the task's text, the rest ""
+        start = 0
+        for task in tasks:
+            summaries = list(sweep._summaries([sweep._block(*task)], theta))
+            items = got[start:start + len(summaries)]
+            assert items[0][0] == written(render, summaries), task
+            assert all(item[0] == "" for item in items[1:]), task
+            start += len(summaries)
+        assert start == len(got)
+        # the writer puts the texts in a row, the document's separator
+        # between structured ones
+        sep = "" if render is cli._render_lines else ",\n    "
+        assert sep.join(s[0] for s in got if s[0]) == written(render, ref)
 
 
 GOLDEN = [
