@@ -2,13 +2,18 @@
 
 Strata are enumerated by size and then lexicographically by triple sequence,
 in tasks (prefix, run): the strata that start with the theta indices prefix
-and continue with an index in run.  A task is walked depth first: adding a
-triple raises the multiplicity of the quadruple of every aligned pair it
-forms with the triples already chosen, and removing it lowers them again.
-Each stratum's obstruction status and the labels it can still get come from
-those running counts through quadruples.stratum_status, so a stratum is
-dropped before its triples are built, and the rational kernel is only
-computed when its multiplicity pattern leaves more than one label open.
+and continue with an index in run.  A task is walked depth first.  The walk
+keeps the multiplicity of the quadruple of every aligned pair among the
+chosen indices and, for every later index, the quadruples it would add;
+adding an index raises the first and extends the second, removing it
+undoes both.  A stratum's last index is never added: its status
+(quadruples.stratum_status: obstruction status and the labels it can still
+get) is read from the prefix's.  An index that adds no quadruple keeps the
+prefix's status, one that adds a single quadruple the prefix lacks gives
+that quadruple multiplicity 1, and only the others count their quadruples
+in and out again.  So a stratum is dropped before its triples are built,
+and the rational kernel is only computed when its multiplicity pattern
+leaves more than one label open.
 
 A task returns plain records, not summaries: (theta indices, obstruction,
 classification, multiplicities).  Without a renderer the calling process
@@ -58,48 +63,50 @@ class StratumSummary(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _pair_cache(n: int):
-    """theta, and for each index b its aligned partners a < b -> quadruple."""
+    """theta, and for each index a its aligned partners b > a -> quadruple."""
     theta = enumerate_theta(n)
-    partners = []
+    later = [{} for _ in theta]
     for b in range(len(theta)):
-        row = {}
         for a in range(b):
             info = _pair_info(theta[a], theta[b])
             if info is not None:
-                row[a] = info[0]
-        partners.append(row)
-    return theta, partners
+                later[a][b] = info[0]
+    return theta, later
 
 
-def _summarize(args, theta: list[Triple], combo: list[int],
-               counter: dict) -> tuple | None:
-    """Record of the stratum of theta indices ``combo`` under the filters
-    in the task's ``args``, or None when it is dropped.
+def _summarize(args, theta: list[Triple], combo: list[int], last: int | None,
+               status: tuple) -> tuple | None:
+    """Theta indices, obstruction and classification of the stratum of
+    theta indices ``combo`` and ``last`` (just ``combo`` when ``last`` is
+    None) under the filters in the task's ``args``, or None when it is
+    dropped.
 
-    ``counter`` maps each quadruple of the stratum's aligned pairs to its
-    multiplicity and holds no zero entries.  The filters first see the
-    status and possible labels of those multiplicities; classify runs only
-    when more than one label is open.
+    The walk calls it once for every stratum, kept or not.  ``status`` is
+    stratum_status of the stratum's multiplicities, which the walk reads
+    from the prefix ``combo`` (see _block): the obstruction status and
+    the labels the stratum can still get.  The filters see that first;
+    classify runs only when more than one label is open.  The walk adds
+    the sorted multiplicities to a kept stratum's record.
     """
     n, _, want_obstruction, want_label, discard, want_cls = args
-    mults = counter.values()
-    obstruction, labels = stratum_status(mults)
+    obstruction, labels = status
     if discard and obstruction == OBSTRUCTION_EMPTY:
         return None
     if want_obstruction is not None and obstruction != want_obstruction:
         return None
     if want_label is not None and want_label not in labels:
         return None
+    indices = (*combo, last) if last is not None else ()
     classification = None
     if want_cls:
         if len(labels) == 1:
             classification = labels[0]
         else:
-            triples = tuple(theta[i] for i in combo)
+            triples = tuple(theta[i] for i in indices)
             classification = classify(IndexSet(n, triples, THETA))
             if want_label is not None and classification != want_label:
                 return None
-    return (tuple(combo), obstruction, classification, tuple(sorted(mults)))
+    return indices, obstruction, classification
 
 
 def _check_caps(n: int, max_size, size, cap: int) -> None:
@@ -118,11 +125,46 @@ def _block(args, prefix: tuple[int, ...], run: range | None,
     with any index when ``run`` is None; ``render(records, n)`` of them
     when a renderer is given."""
     n, k = args[0], args[1]
-    theta, partners = _pair_cache(n)
+    theta, later = _pair_cache(n)
     combo: list[int] = []
     counter: dict = {}
+    # pending[c]: the quadruples that index c adds to the stratum combo
+    pending: list[list] = [[] for _ in theta]
     out: list[tuple] = []
     slack, fixed = len(theta) - k, len(prefix)
+    single = stratum_status((1,))  # that of any stratum with a mult 1
+
+    def leaves(candidates: range) -> None:
+        # combo holds k - 1 indices; each candidate completes a stratum
+        base = stratum_status(counter.values())
+        prefix_mults = None
+        for c in candidates:
+            added = pending[c]
+            if not added or len(added) == 1 and added[0] not in counter:
+                # the prefix's multiplicities, or those and a 1
+                record = _summarize(args, theta, combo, c,
+                                    single if added else base)
+                if record is None:
+                    continue
+                if prefix_mults is None:
+                    prefix_mults = tuple(sorted(counter.values()))
+                mults = (1, *prefix_mults) if added else prefix_mults
+            else:
+                for q in added:
+                    counter[q] = counter.get(q, 0) + 1
+                record = _summarize(args, theta, combo, c,
+                                    stratum_status(counter.values()))
+                if record is not None:
+                    mults = tuple(sorted(counter.values()))
+                for q in added:
+                    m = counter[q] - 1
+                    if m:
+                        counter[q] = m
+                    else:
+                        del counter[q]
+                if record is None:
+                    continue
+            out.append((*record, mults))
 
     def descend(depth: int) -> None:
         # combo holds `depth` < k indices; the first len(prefix) are prefix
@@ -133,19 +175,19 @@ def _block(args, prefix: tuple[int, ...], run: range | None,
         else:
             candidates = range(combo[-1] + 1 if combo else 0,
                                slack + depth + 1)
-        leaf = depth + 1 == k
+        if depth + 1 == k:
+            leaves(candidates)
+            return
         for c in candidates:
-            row = partners[c]
-            added = [row[a] for a in combo if a in row]
+            added = pending[c]
             for q in added:
                 counter[q] = counter.get(q, 0) + 1
             combo.append(c)
-            if leaf:
-                record = _summarize(args, theta, combo, counter)
-                if record is not None:
-                    out.append(record)
-            else:
-                descend(depth + 1)
+            for b, q in later[c].items():
+                pending[b].append(q)
+            descend(depth + 1)
+            for b in later[c]:
+                pending[b].pop()
             combo.pop()
             for q in added:
                 m = counter[q] - 1
@@ -157,9 +199,9 @@ def _block(args, prefix: tuple[int, ...], run: range | None,
     if k:
         descend(0)
     else:  # size 0: the empty stratum, with no index to pick
-        record = _summarize(args, theta, combo, counter)
+        record = _summarize(args, theta, combo, None, stratum_status(()))
         if record is not None:
-            out.append(record)
+            out.append((*record, ()))
     return out if render is None else render(out, n)
 
 
@@ -205,9 +247,9 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
     function: a pool worker receives it pickled by name.
 
     The call itself checks its arguments, builds the pair table and lists
-    the tasks, so a refused sweep (MalformedInputError for workers < 1 or
-    a negative size, CapExceededError for a cap) raises before its caller
-    has written anything.  The returned generator then walks the tasks,
+    the tasks, so a refused sweep (MalformedInputError for workers < 1, a
+    negative size, or size with max_size; CapExceededError for a cap)
+    raises before its caller has written anything.  The returned generator then walks the tasks,
     each of at most LEAF_BOUND strata, serially or in a pool of at most
     ``workers`` processes.
     """
@@ -215,6 +257,8 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
                                ("max_size", max_size, 0)):
         if value is not None and value < least:
             raise MalformedInputError(f"{name}={value} is below {least}")
+    if size is not None and max_size is not None:
+        raise MalformedInputError("size and max_size exclude each other")
     _check_caps(n, max_size, size, cap)
     theta, _ = _pair_cache(n)
     want_cls = n <= 6 or classification is not None

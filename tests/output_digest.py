@@ -55,8 +55,10 @@ SEED = 7
 # at the third and fourth), perfbench's census-json and census-classify
 # sweeps byte for byte (perfbench's check sorts the strata and skips the
 # multiplicities), census-classify's sweep in a pool as well (many of its
-# tasks emit nothing; its digest equals the serial line's), and refused
-# ones (n = 0, n = 7 without a size, n = 17)
+# tasks emit nothing; its digest equals the serial line's), the walk's
+# three kinds of leaf (the prefix's status, one new quadruple of
+# multiplicity 1, a recount) under obstruction filters and a classifying
+# label filter, and refused ones (n = 0, n = 7 without a size, n = 17)
 SWEEPS = [
     ["--n", "4"],
     ["--n", "5"],
@@ -77,6 +79,9 @@ SWEEPS = [
     ["--n", "7", "--size", "4", "--workers", "2"],
     ["--n", "7", "--size", "5", "--filter", "finite-1q2"],
     ["--n", "7", "--size", "5", "--filter", "finite-1q2", "--workers", "2"],
+    ["--n", "7", "--size", "4", "--filter", "empty"],
+    ["--n", "7", "--size", "4", "--discard-obstructed"],
+    ["--n", "6", "--size", "6", "--filter", "unclassified"],
     ["--n", "0"],
     ["--n", "7"],
     ["--n", "17", "--size", "1"],

@@ -8,6 +8,7 @@ executed here, never modified, and no bytecode is cached next to it.
 import importlib
 import inspect
 import types
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,26 @@ def test_summarize_counts_every_enumerated_stratum(monkeypatch):
     list(sweep.sweep_strata(5, size=3, classification="finite-1q2",
                             workers=1))
     assert tracer.counters["sweep.strata_enumerated"] == 240
+
+
+@pytest.mark.parametrize("n, size, filters", [
+    (5, 3, {"obstruction": "empty"}),
+    (5, 3, {"obstruction": "nontrivial"}),
+    (5, 3, {"discard_obstructed": True}),
+    (7, 3, {"classification": "finite-1q2"}),
+])
+def test_summarize_counts_every_leaf_under_every_filter(monkeypatch, n, size,
+                                                         filters):
+    # a leaf the filters reject is still counted: the walk reads its status
+    # from the prefix but leaves the verdict to _summarize
+    tracer = load_spans().Tracer()
+    monkeypatch.setattr(sweep, "_summarize",
+                        tracer.counted("sweep.strata_enumerated",
+                                       sweep._summarize))
+    kept = list(sweep.sweep_strata(n, size=size, workers=1, **filters))
+    leaves = comb(n * (n - 1) * (n - 2) // 6, size)  # 120 or 6 545
+    assert tracer.counters["sweep.strata_enumerated"] == leaves
+    assert len(kept) < leaves  # the filter rejects some of them
 
 
 def test_sweep_strata_returns_a_generator():

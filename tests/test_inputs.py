@@ -203,6 +203,9 @@ def test_sweep_ceiling_is_checked_before_the_pair_table(monkeypatch):
     (["--n", "4", "--workers", "-3"], 2),
     (["--n", "4", "--size", "-1"], 2),
     (["--n", "4", "--max-size", "-1"], 2),
+    # --size and --max-size are alternatives, refused before the caps
+    (["--n", "5", "--size", "2", "--max-size", "3"], 2),
+    (["--n", "9", "--size", "1", "--max-size", "1"], 2),
 ])
 def test_refused_structured_sweep_writes_nothing(argv, code):
     rc, out, err = run_main(["sweep", *argv, "--format", "structured"])

@@ -3,7 +3,9 @@ plain enumeration and the document the CLI used to build in memory."""
 
 import json
 import random
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -15,11 +17,11 @@ from liestrata.cli import main
 from liestrata.jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
                               OBSTRUCTION_NONTRIVIAL)
 from liestrata.quadruples import (CLASSIFICATIONS, _PATTERN_LABELS,
-                                  _UNCLASSIFIED)
+                                  _UNCLASSIFIED, stratum_status)
 from liestrata import sweep
 from liestrata.report import SWEEP_SCHEMA
 from liestrata.sweep import sweep_strata
-from liestrata.triples import enumerate_theta
+from liestrata.triples import IndexSet, THETA, enumerate_theta
 
 from conftest import (MULT2_PLUS_MULT3, ONE_QUAD_MULT2, ONE_QUAD_MULT3,
                       ONE_QUAD_NON_SPANNING, TWO_QUADS_MULT2,
@@ -214,6 +216,59 @@ def test_block_tasks_match_the_oracle_slice(n, sizes):
                     and keep(s, obstruction, classification, discard):
                 expected.append(s)
         assert got == expected, (k, prefix, run)
+
+
+def record_leaf_statuses(monkeypatch):
+    """A list that gets (theta indices, status) of every leaf the walk
+    passes to _summarize, which then drops it."""
+    seen = []
+
+    def record(args, theta, combo, last, status):
+        seen.append(((*combo, last) if last is not None else (), status))
+
+    monkeypatch.setattr(sweep, "_summarize", record)
+    return seen
+
+
+@pytest.mark.parametrize("n,sizes", [(1, range(1)), (3, range(2)),
+                                     (4, range(5)), (5, range(7)),
+                                     (6, range(7)), (7, [4])])
+def test_leaf_status_matches_the_quadruple_table(monkeypatch, n, sizes):
+    # the walk hands each leaf a status read from its prefix: the prefix's
+    # own, that of one new quadruple of multiplicity 1, or one recounted;
+    # each must be the status of the stratum's multiplicities counted anew
+    seen = record_leaf_statuses(monkeypatch)
+    for k in sizes:
+        assert list(sweep_strata(n, size=k)) == []
+    theta = enumerate_theta(n)
+    assert len(seen) == sum(comb(len(theta), k) for k in sizes)
+    for indices, status in seen:
+        lam = IndexSet(n, tuple(theta[i] for i in indices), THETA)
+        mults = quadruple_table(lam).multiplicities().values()
+        assert status == stratum_status(mults), indices
+
+
+def test_leaf_status_counts_a_quadruple_one_index_adds_twice(monkeypatch):
+    # in theta one index never adds a quadruple twice (the quadruple and
+    # the index fix the partner), so the walk is also run on made-up pair
+    # tables over a few quadruple names, where it often does
+    seen = record_leaf_statuses(monkeypatch)
+    rng, m = random.Random(77), 8
+    for _ in range(20):
+        later = [{b: rng.choice("pqr") for b in range(a + 1, m)
+                  if rng.random() < 0.5} for a in range(m)]
+        monkeypatch.setattr(sweep, "_pair_cache",
+                            lambda n: (list(range(m)), later))
+        for k in range(m + 1):
+            seen.clear()
+            assert sweep._block((0, k, None, None, False, False), (), None) \
+                == []
+            assert [indices for indices, _ in seen] == \
+                list(combinations(range(m), k))
+            for indices, status in seen:
+                mults = Counter(later[a][b] for a, b in
+                                combinations(indices, 2) if b in later[a])
+                assert status == stratum_status(mults.values()), indices
 
 
 def test_pattern_labels_contain_every_classify_verdict():
