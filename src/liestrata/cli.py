@@ -2,7 +2,8 @@
 
 Commands: analyze, jacobi, isomorphic, sweep, cross-section.  Exit codes:
 0 success, 1 stdout closed by its reader, 2 input or parse error, 3
-violated precondition (mode, caps, center point, unsupported shapes).
+violated precondition (mode, caps, center point, unsupported shapes), 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -410,6 +411,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    except KeyboardInterrupt:
+        # Ctrl-C: the shell's 128 + SIGINT, without a traceback
+        return 130
     except PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -19,17 +19,23 @@ A task returns plain records, not summaries: (theta indices, obstruction,
 classification, multiplicities).  Without a renderer the calling process
 turns each record into a StratumSummary.  With one, the process that walks
 a task, a pool worker or the caller, also renders it: render(records, n)
-turns the task's records into the items the sweep yields.  The process pool
-is imported only when a sweep starts one; it is given tasks at most
-workers + 1 ahead of the one being consumed, and no task holds more than
-LEAF_BOUND strata (see _split), so neither the parent nor a worker holds
-more than a few tasks' results.
+turns the task's records into the items the sweep yields.
+
+A pooled sweep forks its workers when its first item is asked for, after
+the pair table is built, so they share it.  The caller deals task indices
+into one pipe; a free worker takes the next and writes the index and the
+pickled result into a pipe of its own.  Of a result that comes early the
+caller reads only the index and leaves the rest in the pipe until its
+turn, so results come out in task order.  A worker whose pipe is full
+(1 MiB on Linux) waits, and no task holds more than LEAF_BOUND strata (see
+_split), so neither side holds more than a few tasks' results.  Where
+os.fork is missing the sweep runs serially.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter, deque
+from collections import Counter
 from functools import lru_cache, partial
 from itertools import chain, starmap
 from math import comb
@@ -243,15 +249,18 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
     Without ``render`` each stratum is a StratumSummary.  With it, the
     sweep yields the items ``render(records, n)`` returns for each task's
     records (theta indices into ``enumerate_theta(n)``, obstruction,
-    classification, multiplicities).  ``render`` must be a module-level
-    function: a pool worker receives it pickled by name.
+    classification, multiplicities).  ``render`` may be any callable: pool
+    workers are forked, so they inherit it, but its items and any
+    exception a task raises must pickle, since they cross a pipe.
 
     The call itself checks its arguments, builds the pair table and lists
     the tasks, so a refused sweep (MalformedInputError for workers < 1, a
     negative size, or size with max_size; CapExceededError for a cap)
-    raises before its caller has written anything.  The returned generator then walks the tasks,
-    each of at most LEAF_BOUND strata, serially or in a pool of at most
-    ``workers`` processes.
+    raises before its caller has written anything.  The returned
+    generator then walks the tasks, each of at most LEAF_BOUND strata,
+    serially or in at most ``workers`` forked processes (see pool_size),
+    which start when its first item is asked for.  Ask for a pool only
+    from a process that runs no other thread.
     """
     for name, value, least in (("workers", workers, 1), ("size", size, 0),
                                ("max_size", max_size, 0)):
@@ -280,25 +289,118 @@ def _walk_blocks(tasks: list, workers: int, n: int,
                  render) -> Iterator[StratumSummary] | Iterator[tuple]:
     work = partial(_block, render=render)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from _items(_windowed(pool, work, tasks, workers + 1),
-                              n, render)
+        blocks = _forked(work, tasks, workers)
     else:
-        yield from _items(starmap(work, tasks), n, render)
+        blocks = starmap(work, tasks)
+    yield from _items(blocks, n, render)
 
 
-def _windowed(pool, work, tasks: list, window: int) -> Iterator[list]:
-    """``work(*task)`` for each task, in order, with ``window`` tasks
-    submitted ahead of the one whose result the caller is taking."""
-    pending: deque = deque()
-    for task in tasks:
-        pending.append(pool.submit(work, *task))
-        if len(pending) > window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+def _forked(work, tasks: list, workers: int) -> Iterator:
+    """``work(*task)`` for each task, in order, from ``workers`` forked
+    processes (see the module docstring and _serve).  However the caller
+    leaves (done, a close, a raised task, a dead worker, Ctrl-C), every
+    worker is killed and reaped: one still walking would only stop at its
+    next write."""
+    import fcntl
+    import pickle
+    from select import PIPE_BUF, select
+    from signal import SIGKILL
+
+    tickets, deal = os.pipe()
+    pipes, pids, ready, dealt = [], [], {}, 0
+    try:
+        for _ in range(workers):
+            r, fd = os.pipe()
+            try:
+                # A worker whose pipe is full waits.  Linux's default 64 KiB
+                # often stopped one while the caller waited on another's
+                # slow task; 1 MiB lets it run ahead.
+                fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+            except (AttributeError, OSError):
+                pass  # not Linux, or over the pipe size limit
+            pipes.append(_Pipe(r))
+            pid = os.fork()
+            if not pid:
+                _serve(work, tasks, tickets,
+                       [deal, *(pipe.fd for pipe in pipes)], fd)
+            pids.append(pid)
+            os.close(fd)
+        for i in range(len(tasks)):
+            # at most PIPE_BUF bytes of tickets are dealt and not taken, so
+            # a write of them is atomic and never waits on a full pipe
+            stop = min(i + PIPE_BUF // 4, len(tasks))
+            if dealt < stop:
+                os.write(deal, b"".join(t.to_bytes(4, "little")
+                                        for t in range(dealt, stop)))
+                dealt = stop
+            while i not in ready:  # task index -> the pipe its result is in
+                quiet = [pipe for pipe in pipes if pipe not in ready.values()]
+                for pipe in select(quiet, [], [])[0]:
+                    ready[int.from_bytes(pipe.read(4), "little")] = pipe
+            ok, result = pickle.load(ready.pop(i))
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for fd in (tickets, deal, *(pipe.fd for pipe in pipes)):
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
+class _Pipe:
+    """The caller's end of a worker's pipe, read by exact sizes, so a
+    pickle.load from it stops at the end of one result."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def read(self, size: int) -> bytearray:
+        """``size`` bytes; RuntimeError if the pipe ends first, as it does
+        when its worker dies."""
+        data = bytearray(size)
+        view, at = memoryview(data), 0
+        while at < size:
+            count = os.readv(self.fd, [view[at:]])
+            if not count:
+                raise RuntimeError("a sweep worker ended before its result")
+            at += count
+        return data
+
+    readline = read  # pickle.load requires it; binary pickles never call it
+
+
+def _serve(work, tasks: list, tickets: int, inherited: list, fd: int) -> None:
+    """A pool worker's whole life: take task indices from the pipe
+    ``tickets`` until it ends, and for each write to the pipe ``fd`` the
+    index in 4 bytes and the pickle of (True, work(*task)), or (False,
+    exception) when the task raises.  A worker takes indices in order, so
+    its results are in order too.  It first closes the caller's pipe ends
+    it ``inherited``, and it leaves sys.stdout unflushed: that buffer may
+    hold the caller's output."""
+    import pickle
+
+    status = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        with open(fd, "wb") as out:
+            while ticket := os.read(tickets, 4):
+                index = int.from_bytes(ticket, "little")
+                try:
+                    result = True, work(*tasks[index])
+                except Exception as exc:
+                    result = False, exc
+                out.write(ticket)
+                pickle.dump(result, out)
+                out.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _items(blocks: Iterable[list], n: int, render) -> Iterator:
@@ -321,7 +423,9 @@ def _summaries(blocks: Iterable[list[tuple]],
 def pool_size(workers: int, tasks: int) -> int:
     """The worker processes worth starting: no more than the tasks or the
     CPUs this process may run on (its affinity mask where the platform
-    has one, else os.cpu_count())."""
+    has one, else os.cpu_count()), and one where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:

@@ -1,9 +1,9 @@
 """Input documents, the exit-code contract and the cached argument parser."""
 
-import concurrent.futures
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import starmap
 from unittest import mock
 
 import pytest
@@ -375,37 +375,31 @@ def test_pool_size_counts_the_cpus_this_process_may_use(monkeypatch,
     assert pool_size(64, 1) == 1
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+def test_pool_size_is_one_without_fork(monkeypatch):
+    # a platform without os.fork sweeps serially, whatever it asks for
+    monkeypatch.delattr(sweep.os, "fork", raising=False)
+    monkeypatch.setattr(sweep.os, "sched_getaffinity",
+                        lambda pid: set(range(8)), raising=False)
+    assert pool_size(8, 10**6) == 1
+    assert list(sweep.sweep_strata(5, size=3, workers=8)) == \
+        list(sweep.sweep_strata(5, size=3))
 
 
 @pytest.mark.parametrize("cpus, started", [(2, [2]), (1, [])])
 def test_sweep_asks_for_a_clamped_pool(monkeypatch, cpus, started):
     monkeypatch.setattr(sweep.os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
-    # the sweep imports the pool class from concurrent.futures when it runs
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+    sizes = []
+
+    def in_process(work, tasks, workers):
+        # stands in for the forked pool: records its size, runs in-process
+        sizes.append(workers)
+        return starmap(work, tasks)
+
+    monkeypatch.setattr(sweep, "_forked", in_process)
     serial = list(sweep.sweep_strata(5, size=3))
     assert list(sweep.sweep_strata(5, size=3, workers=10**6)) == serial
-    assert RecordingPool.sizes == started
+    assert sizes == started
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -356,6 +357,31 @@ def test_cli_sweep_into_a_reader_that_closes_early(workers):
     assert err == b""
     assert head[0].startswith(b"size=0 (empty) ")
     assert head[1].startswith(b"size=1 (1,2,3) ")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_sweep_interrupted_exits_quietly(workers):
+    # Ctrl-C reaches the terminal's whole process group: the sweep and, when
+    # pooled, its workers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liestrata", "sweep", "--n", "6",
+         "--workers", workers],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        start_new_session=True)
+    try:
+        assert len(proc.stdout.read(1 << 16)) == 1 << 16  # mid-sweep
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert err == b""
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
 
 def test_sweep_size_filter_contains_known_stratum():

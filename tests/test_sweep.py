@@ -2,8 +2,12 @@
 plain enumeration and the document the CLI used to build in memory."""
 
 import json
+import os
 import random
+import signal
+import time
 from collections import Counter
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -14,6 +18,7 @@ from liestrata import (classify, obstruction_status, parse_index_set,
                        quadruple_table)
 from liestrata import cli
 from liestrata.cli import main
+from liestrata.errors import CapExceededError
 from liestrata.jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
                               OBSTRUCTION_NONTRIVIAL)
 from liestrata.quadruples import (CLASSIFICATIONS, _PATTERN_LABELS,
@@ -446,3 +451,119 @@ def test_streamed_sweep_with_a_size_and_no_strata(capsys):
     argv = ["--n", "4", "--size", "9"]
     assert main(["sweep", *argv, "--format", "structured"]) == 0
     assert capsys.readouterr().out == old_structured(argv, [])
+
+
+# ---------------------------------------------------------------------------
+# The forked pool: results in task order, and no worker left behind
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this process if the block runs past seconds
+    (a forked worker does not inherit the alarm)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def listed_tasks(monkeypatch, *args, **kwargs):
+    """The tasks sweep_strata(*args, **kwargs) walks, in order."""
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "_walk_blocks", lambda tasks, *rest: tasks)
+        return sweep_strata(*args, **kwargs)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """A pool of two workers and tasks of at most three strata; the
+    sweep's tasks are walked in forked workers, never in this process."""
+    monkeypatch.setattr(sweep.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sweep, "LEAF_BOUND", 3)
+    caller, block = os.getpid(), sweep._block
+
+    def patch(bad_task, fault):
+        def faulty(*task, render=None):
+            assert os.getpid() != caller, "a pooled task ran in the caller"
+            if task == bad_task:
+                fault()
+            return block(*task, render=render)
+        monkeypatch.setattr(sweep, "_block", faulty)
+    return patch
+
+
+def test_pool_raises_a_failed_task_in_its_place(monkeypatch, two_workers):
+    tasks = listed_tasks(monkeypatch, 5, size=3)
+    serial = list(sweep_strata(5, size=3))
+    before = sum(len(sweep._block(*task)) for task in tasks[:5])
+    assert 0 < before < len(serial)
+
+    def fail():
+        raise CapExceededError("task 5 fails")
+
+    two_workers(tasks[5], fail)
+    got = []
+    with deadline(30), pytest.raises(CapExceededError, match="task 5 fails"):
+        for summary in sweep_strata(5, size=3, workers=2):
+            got.append(summary)
+    assert got == serial[:before]
+    assert_no_child_left()
+
+
+def test_pool_raises_when_a_worker_dies(monkeypatch, two_workers):
+    tasks = listed_tasks(monkeypatch, 5, size=3)
+    two_workers(tasks[4], lambda: os._exit(3))
+    with deadline(30), pytest.raises(RuntimeError, match="ended before"):
+        list(sweep_strata(5, size=3, workers=2))
+    assert_no_child_left()
+
+
+def test_pool_yields_results_that_come_early_in_task_order(monkeypatch,
+                                                          two_workers):
+    tasks = listed_tasks(monkeypatch, 5, size=3)
+    serial = list(sweep_strata(5, size=3))
+    # the other worker walks the next tasks while the first one sleeps
+    two_workers(tasks[0], lambda: time.sleep(0.3))
+    with deadline(30):
+        assert list(sweep_strata(5, size=3, workers=2)) == serial
+    assert_no_child_left()
+
+
+def test_closing_a_pooled_sweep_reaps_its_workers(two_workers):
+    two_workers(None, None)
+    with deadline(30):
+        stream = sweep_strata(6, max_size=6, workers=2)
+        assert next(stream).size == 0
+        stream.close()
+    assert_no_child_left()
+
+
+# at most three strata a task, n = 5 makes 465 tasks, n = 5 up to size 7
+# makes 427 and n = 6 up to size 3 makes 515: each remainder mod 3 once
+@pytest.mark.parametrize("n,max_size,short", [(5, None, 0), (5, 7, 1),
+                                              (6, 3, 2)])
+def test_three_workers_deal_uneven_tasks_in_order(monkeypatch, n, max_size,
+                                                  short):
+    monkeypatch.setattr(sweep.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(sweep, "LEAF_BOUND", 3)
+    assert len(listed_tasks(monkeypatch, n, max_size=max_size)) % 3 == short
+    for render in (None, cli._render_lines, cli._render_entries):
+        with deadline(60):
+            pooled = list(sweep_strata(n, max_size=max_size, workers=3,
+                                       render=render))
+        assert pooled == list(sweep_strata(n, max_size=max_size,
+                                           render=render)), render
+    assert_no_child_left()
