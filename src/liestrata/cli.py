@@ -265,23 +265,15 @@ def _render_lines(records, n: int) -> list[tuple]:
     return _task_items(records, first, rest, "(empty)", tail, head, head)
 
 
-def _streamed_entries(stream, out):
-    """Write each task's text into the open "strata" list, then close it."""
-    write, sep = out.write, "\n    "
+def _written(stream, write, lead, sep):
+    """Pass the stream's items on, writing each task's text as it passes:
+    ``lead`` goes before the first text and ``sep`` before each later one.
+    """
     for s in stream:
         if s[0]:
-            write(sep)
+            write(lead)
             write(s[0])
-            sep = ",\n    "
-        yield s
-    write("]" if sep == "\n    " else "\n  ]")
-
-
-def _text_lines(stream, out):
-    write = out.write
-    for s in stream:
-        if s[0]:
-            write(s[0])
+            lead = sep
         yield s
 
 
@@ -291,10 +283,11 @@ def cmd_sweep(args) -> int:
 
     The sweep renders each task where the task is walked, through
     _render_entries or _render_lines, into one text carried by the task's
-    first item; the writer writes each such text with one call and feeds
-    every item to sweep_counts.  The structured document is written piece
-    by piece with the exact bytes ``json.dumps(doc, indent=2)`` would give,
-    so memory stays bounded by a task however many strata the sweep emits.
+    first item; _written, the writer of both formats, writes each such text
+    with one call and feeds every item to sweep_counts.  The structured
+    document is written piece by piece with the exact bytes
+    ``json.dumps(doc, indent=2)`` would give, so memory stays bounded by a
+    task however many strata the sweep emits.
     """
     obstruction = classification = None
     if args.filter:
@@ -318,15 +311,17 @@ def cmd_sweep(args) -> int:
                 "max_size": args.max_size, "filter": args.filter,
                 "discard_obstructed": args.discard_obstructed}
         out.write(_nested(head, 0)[:-2] + ',\n  "strata": [')
-        counts = sweep_counts(_streamed_entries(stream, out))
+        counts = sweep_counts(_written(stream, out.write, "\n    ",
+                                       ",\n    "))
         tail = {
             "total": counts["total"],
             "obstruction": dict(sorted(counts["obstruction"].items())),
             "classification": dict(sorted(counts["classification"].items())),
         }
-        out.write(',\n  "counts": ' + _nested(tail, 1) + "\n}\n")
+        out.write(("\n  ]" if counts["total"] else "]") + ',\n  "counts": '
+                  + _nested(tail, 1) + "\n}\n")
         return 0
-    counts = sweep_counts(_text_lines(stream, out))
+    counts = sweep_counts(_written(stream, out.write, "", ""))
     print(f"# total: {counts['total']}")
     for key in sorted(counts["obstruction"]):
         print(f"# obstruction {key}: {counts['obstruction'][key]}")

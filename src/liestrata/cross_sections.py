@@ -23,7 +23,7 @@ from .jacobi import JacobiSystem, is_lie, jacobi_system
 from .linalg import (IntVector, gf2_coset_transversal, kernel_basis,
                      primitive, root_matrix, span_equals, transpose)
 from .poly import (Poly, add_univar, degree_in, eval_univar, evaluate,
-                   mul_univar, rational_roots, univariate_in)
+                   format_sum, mul_univar, rational_roots, univariate_in)
 from .quadruples import quadruple_of
 from .triples import IndexSet, StructureVector, memo
 
@@ -98,20 +98,8 @@ class LinearInequality:
     def render(self) -> str:
         names = "stu" if len(self.coeffs) <= 3 else \
             [f"t{i+1}" for i in range(len(self.coeffs))]
-        parts = []
-        for c, name in zip(self.coeffs, names):
-            if c == 0:
-                continue
-            if c == 1:
-                parts.append(f"+ {name}")
-            elif c == -1:
-                parts.append(f"- {name}")
-            elif c > 0:
-                parts.append(f"+ {c}*{name}")
-            else:
-                parts.append(f"- {-c}*{name}")
-        body = f"{self.const} " + " ".join(parts) if parts else str(self.const)
-        return body.strip() + " > 0"
+        return format_sum([(self.const, ""), *zip(self.coeffs, names)]) + \
+            " > 0"
 
 
 @dataclass(frozen=True)
@@ -413,21 +401,8 @@ class CurveSolution:
 
 
 def _poly_str(coeffs: Sequence[Fraction], name: str) -> str:
-    parts = []
-    for e, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if e == 0:
-            parts.append(str(c))
-        else:
-            var = name if e == 1 else f"{name}^{e}"
-            if c == 1:
-                parts.append(var)
-            elif c == -1:
-                parts.append(f"-{var}")
-            else:
-                parts.append(f"{c}*{var}")
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    return format_sum((c, "" if e == 0 else name if e == 1 else f"{name}^{e}")
+                      for e, c in enumerate(coeffs))
 
 
 INCONSISTENT = "inconsistent"

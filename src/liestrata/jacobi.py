@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DimensionMismatchError
+from .poly import format_sum
 # the obstruction statuses are re-exported from here
 from .quadruples import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
                          OBSTRUCTION_NONTRIVIAL, Quadruple, quadruple_table,
@@ -69,16 +70,13 @@ def obstruction_status(lam: IndexSet) -> str:
 
 def format_equation(eq: JacobiEquation, lam: IndexSet) -> str:
     """Render like ``(1,2,3,7): -a[1,2,4]*a[3,4,7] + a[1,3,5]*a[2,5,7] = 0``."""
-    parts = []
-    for idx, (sign, p, r) in enumerate(eq.terms):
+    terms = []
+    for sign, p, r in eq.terms:
         tp, tr = lam.triples[p], lam.triples[r]
-        body = f"a[{tp.i},{tp.j},{tp.k}]*a[{tr.i},{tr.j},{tr.k}]"
-        if idx == 0:
-            parts.append(("-" if sign < 0 else "") + body)
-        else:
-            parts.append(("- " if sign < 0 else "+ ") + body)
+        terms.append(
+            (sign, f"a[{tp.i},{tp.j},{tp.k}]*a[{tr.i},{tr.j},{tr.k}]"))
     q = eq.quadruple
-    return f"({q[0]},{q[1]},{q[2]},{q[3]}): " + " ".join(parts) + " = 0"
+    return f"({q[0]},{q[1]},{q[2]},{q[3]}): {format_sum(terms)} = 0"
 
 
 def format_system(sys: JacobiSystem) -> list[str]:

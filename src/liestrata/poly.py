@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import UnsupportedShapeError
 from .linalg import primitive
@@ -60,6 +60,25 @@ def evaluate(poly: Poly, point: Sequence) -> Fraction:
             c *= x ** k
         total += c
     return total
+
+
+def format_sum(terms: Iterable[tuple[Fraction | int, str]]) -> str:
+    """``coefficient*name`` summed over terms, as text like ``-s + 3/2*t^2``.
+
+    Zero terms, and a coefficient of 1 or -1 before a name, are left out;
+    an empty name marks a constant.  No terms give ``0``.
+    """
+    parts = []
+    for c, name in terms:
+        if not c:
+            continue
+        if parts:
+            parts.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            parts.append("-")
+        c = abs(c)
+        parts.append(f"{c}*{name}" if name and c != 1 else name or str(c))
+    return "".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,19 @@
 
 Every command builds one self-describing dict (the structured output,
 emitted as JSON) and renders the same dict to an indented text form whose
-scalars are JSON literals.  parse_text inverts render_text exactly, so both
-formats always carry identical data.
+scalars are JSON literals: ``key: value`` lines for a dict, ``- value``
+lines for a list, and a bare ``key:`` or ``-`` before a nested dict or
+non-flat list, whose lines sit two spaces deeper.  render_text and
+parse_text are one recursive walk each; parse_text inverts render_text
+exactly, so both formats always carry identical data, and raises
+ValueError on text that render_text never writes.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 from . import cross_sections as cs
@@ -155,83 +160,70 @@ def build_cross_section_report(spec: cs.CrossSectionSpec,
 
 def _is_flat(value) -> bool:
     return isinstance(value, list) and \
-        all(isinstance(x, (int, str, bool)) or x is None for x in value)
+        all(map(isinstance, value, repeat((int, str, type(None)))))
 
 
 def render_text(doc: dict) -> str:
+    """The text form of a report document."""
     lines: list[str] = []
-    _render_dict(doc, 0, lines)
+    _render(doc, "", lines)
     return "\n".join(lines) + "\n"
 
 
-def _render_dict(d: dict, indent: int, lines: list[str]) -> None:
-    pad = "  " * indent
-    for key, value in d.items():
-        if isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            _render_dict(value, indent + 1, lines)
-        elif isinstance(value, list) and not _is_flat(value):
-            lines.append(f"{pad}{key}:")
-            _render_list(value, indent + 1, lines)
+def _render(block, pad: str, lines: list[str]) -> None:
+    """Append the lines of a dict or a list at indent ``pad``."""
+    is_dict = isinstance(block, dict)
+    head, inner = pad + "-", pad + "  "
+    append, dumps = lines.append, json.dumps
+    for value in block:  # a list's members, a dict's keys
+        if is_dict:
+            head, value = f"{pad}{value}:", block[value]
+        if isinstance(value, dict) or isinstance(value, list) and \
+                not _is_flat(value):
+            append(head)
+            _render(value, inner, lines)
         else:
-            lines.append(f"{pad}{key}: {json.dumps(value)}")
-
-
-def _render_list(items: list, indent: int, lines: list[str]) -> None:
-    pad = "  " * indent
-    for item in items:
-        if isinstance(item, dict):
-            lines.append(f"{pad}-")
-            _render_dict(item, indent + 1, lines)
-        elif isinstance(item, list) and not _is_flat(item):
-            lines.append(f"{pad}-")
-            _render_list(item, indent + 1, lines)
-        else:
-            lines.append(f"{pad}- {json.dumps(item)}")
+            append(f"{head} {dumps(value)}")
 
 
 def parse_text(text: str) -> dict:
+    """The document render_text wrote as ``text``.  A key without a value,
+    a line out of place (off its block's indent, or an item among keys) or
+    a scalar that is not JSON raises ValueError."""
     rows = [(len(line) - len(line.lstrip()), line.strip())
             for line in text.splitlines() if line.strip()]
-    value, rest = _parse_block(rows, 0)
-    assert not rest, "trailing lines after document"
+    if not rows:
+        return {}
+    value, end = _parse(rows, 0, 0)
+    if end < len(rows):
+        raise ValueError(f"unexpected line {rows[end][1]!r}")
     return value
 
 
-def _parse_block(rows, indent):
-    if not rows:
-        return {}, rows
-    is_list = rows[0][1].startswith("-")
-    return (_parse_list if is_list else _parse_dict)(rows, indent)
-
-
-def _parse_dict(rows, indent):
-    out = {}
-    while rows and rows[0][0] == indent and not rows[0][1].startswith("-"):
-        _, line = rows[0]
-        rows = rows[1:]
-        key, _, remainder = line.partition(":")
-        remainder = remainder.strip()
-        if remainder:
-            out[key] = json.loads(remainder)
-        elif rows and rows[0][0] > indent:
-            out[key], rows = _parse_block(rows, indent + 2)
+def _parse(rows, i: int, indent: int):
+    """The dict or list whose lines start at rows[i], at ``indent``, and
+    the index of the first row after it."""
+    is_list = rows[i][1].startswith("-")
+    out: dict | list = [] if is_list else {}
+    while i < len(rows) and rows[i][0] == indent and \
+            rows[i][1].startswith("-") == is_list:
+        line = rows[i][1]
+        i += 1
+        if is_list:
+            body = line[1:].strip()
         else:
-            out[key] = {}
-    return out, rows
-
-
-def _parse_list(rows, indent):
-    out = []
-    while rows and rows[0][0] == indent and rows[0][1].startswith("-"):
-        _, line = rows[0]
-        rows = rows[1:]
-        body = line[1:].strip()
+            key, colon, body = line.partition(":")
+            if not colon:
+                raise ValueError(f"line {line!r} has no value")
+            body = body.strip()
         if body:
-            out.append(json.loads(body))
-        elif rows and rows[0][0] > indent:
-            value, rows = _parse_block(rows, indent + 2)
+            value = json.loads(body)
+        elif i < len(rows) and rows[i][0] > indent:
+            value, i = _parse(rows, i, indent + 2)
+        else:
+            value = {}
+        if is_list:
             out.append(value)
         else:
-            out.append({})
-    return out, rows
+            out[key] = value
+    return out, i

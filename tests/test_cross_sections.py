@@ -763,3 +763,12 @@ def test_power_invariance_of_magnitude_test():
         b2 = sv(lam, [v * v for v in b.values])
         assert magnitude_orbit_equivalent(a, b) == \
             magnitude_orbit_equivalent(a2, b2)
+
+
+def test_inequality_text_leaves_out_a_zero_constant():
+    # delta_domain's constants are center coordinates, so never 0; only a
+    # hand-built inequality meets this
+    assert LinearInequality(Fraction(0), (1,)).render() == "s > 0"
+    assert LinearInequality(Fraction(0), (0, 0)).render() == "0 > 0"
+    assert LinearInequality(Fraction(-1, 2), (0, -2, 1, 3)).render() == \
+        "-1/2 - 2*t2 + t3 + 3*t4 > 0"

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from liestrata import UnsupportedShapeError
-from liestrata.poly import ROOT_COEFF_CAP, rational_roots
+from liestrata.poly import ROOT_COEFF_CAP, format_sum, rational_roots
 
 
 def test_rational_roots_at_the_coefficient_cap():
@@ -26,3 +26,19 @@ def test_rational_roots_at_the_coefficient_cap():
 def test_rational_roots_refuses_coefficients_above_the_cap(coeffs):
     with pytest.raises(UnsupportedShapeError, match="too large"):
         rational_roots([Fraction(c) for c in coeffs])
+
+
+def test_format_sum_drops_zeros_and_unit_coefficients():
+    assert format_sum([(0, "s"), (1, "t"), (-1, "u")]) == "t - u"
+    assert format_sum([(2, ""), (Fraction(-3, 2), "s")]) == "2 - 3/2*s"
+    assert format_sum([(-1, "s"), (Fraction(3, 2), "t")]) == "-s + 3/2*t"
+    assert format_sum([(Fraction(-1, 2), ""), (-7, "t^2")]) == \
+        "-1/2 - 7*t^2"
+    # an empty name is a constant: its value is written even when it is 1
+    assert format_sum([(1, ""), (-1, "")]) == "1 - 1"
+    assert format_sum([(0, ""), (-4, "s")]) == "-4*s"
+
+
+@pytest.mark.parametrize("terms", [[], [(0, "s"), (Fraction(0), "")]])
+def test_format_sum_without_terms_is_zero(terms):
+    assert format_sum(terms) == "0"

@@ -1,11 +1,15 @@
+import hashlib
 import json
 import os
 import signal
+import string
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import liestrata
 from liestrata import parse_index_set
@@ -19,6 +23,7 @@ from liestrata.triples import structure_vector
 
 from conftest import (DIM7, FILIFORM4, MULT2_PLUS_MULT3, ONE_QUAD_MULT2,
                       ONE_QUAD_MULT3, ONE_QUAD_NON_SPANNING, TWO_QUADS_MULT2)
+from output_digest import recorded_strata, run
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(liestrata.__file__))
 
@@ -89,6 +94,41 @@ def test_text_roundtrip_isomorphism(filiform4):
     assert doc["verdict"] == "equivalent"
     assert doc["caveat"] == "assumes-D-orbit-classes"
     assert parse_text(render_text(doc)) == doc
+
+
+KEYS = st.text(alphabet=string.ascii_letters + string.digits + "_",
+               min_size=1, max_size=8)
+# strings that look like the text form's own syntax, and any text
+SCALARS = st.none() | st.booleans() | st.integers() | st.sampled_from(
+    ["", "-", "- x", "a: b", ":", "x:", "two\nlines", " -1", "{}", "[]"]) | \
+    st.text(max_size=10)
+VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(KEYS, inner, max_size=4), max_leaves=20)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(doc=st.dictionaries(KEYS, VALUES, max_size=6))
+@example(doc={})
+@example(doc={"empty": {}, "none": [], "flat": [1, "- a", None, True],
+              "nested": [[1, [2]], {}, [], {"a": {"b": []}}, "x:\ny"],
+              "last": {}})
+def test_text_roundtrip_of_any_document(doc):
+    assert parse_text(render_text(doc)) == doc
+
+
+@pytest.mark.parametrize("text", [
+    "a:\n  b: 1\n c: 2",       # a line out of its block's indent
+    "a:\n  b: 1\n    c: 2",
+    "  a: 1",
+    "a: 1\nb",                 # a bare key
+    "a:\n  -\n    x",
+    "a: [1,",                  # a scalar that is not JSON
+    "a: 1\n- 2",               # a list item among keys
+])
+def test_parse_text_refuses_text_render_text_never_writes(text):
+    with pytest.raises(ValueError):
+        parse_text(text)
 
 
 def test_isomorphism_report_runs_each_orbit_test_once(monkeypatch,
@@ -413,3 +453,98 @@ def test_cli_analyze_upsilon_mode():
     doc = parse_text(proc.stdout)
     assert doc["mode"] == "upsilon"
     assert "quadruples" not in doc
+
+
+# Domain inequalities, branch curves and Jacobi equations of the fixtures'
+# cross sections, at the default center and at two others, as the report
+# writes them; each list is in the report's order.
+TEXTS = [
+    (ONE_QUAD_MULT2, None,
+     ["1 + s > 0", "1 - s > 0"],
+     [],
+     ["(1,2,3,7): -a[1,2,4]*a[3,4,7] + a[1,3,5]*a[2,5,7] = 0"]),
+    (ONE_QUAD_MULT3, None,
+     ["1 + t > 0", "1 + s > 0", "1 - s - t > 0"],
+     ["s = (1 + 2*t^2)/(4 - 2*t)", "s = (-1 - 4*t)/(4 - 2*t)",
+      "t = (1 + 2*s^2)/(4 - 2*s)"],
+     ["(1,2,3,7): -a[1,2,4]*a[3,4,7] + a[1,3,5]*a[2,5,7] "
+      "- a[1,6,7]*a[2,3,6] = 0"]),
+    (MULT2_PLUS_MULT3, None,
+     ["1 + u > 0", "1 + s + t + u > 0", "1 + t > 0", "1 - s - t - u > 0",
+      "1 - t - u > 0", "1 + s > 0"],
+     [],
+     ["(1,2,3,6): a[1,3,4]*a[2,4,6] - a[1,5,6]*a[2,3,5] = 0",
+      "(1,2,4,7): a[1,2,3]*a[3,4,7] + a[1,4,5]*a[2,5,7] "
+      "- a[1,6,7]*a[2,4,6] = 0"]),
+    (TWO_QUADS_MULT2, None,
+     ["1 + s + t > 0", "1 + t > 0", "1 - s - t > 0", "1 - t > 0",
+      "1 + s > 0"],
+     [],
+     ["(1,2,3,7): a[1,3,4]*a[2,4,7] - a[1,6,7]*a[2,3,6] = 0",
+      "(1,2,4,8): a[1,4,6]*a[2,6,8] - a[1,7,8]*a[2,4,7] = 0"]),
+    (ONE_QUAD_NON_SPANNING, None,
+     ["1 + t > 0", "1 + s + t > 0", "1 - t > 0", "1 - s - t > 0",
+      "1 - s > 0", "1 + s > 0"],
+     ["s = (-2*t)/(4)", "s = (-2*t)/(4)"],
+     ["(1,2,4,8): a[1,4,6]*a[2,6,8] - a[1,7,8]*a[2,4,7] = 0"]),
+    (DIM7, None,
+     ["1 - 2*t1 - 2*t3 - t5 - 2*t6 - 3*t7 > 0",
+      "1 + 3*t1 - t2 + 2*t3 + 2*t5 + 3*t6 + 4*t7 > 0",
+      "1 - t1 + t2 + t4 > 0", "1 - 2*t1 + t2 - t3 - t5 - 2*t6 - 2*t7 > 0",
+      "1 + t1 - t2 + t3 - t4 + t6 + t7 > 0", "1 + t1 > 0",
+      "1 - t2 - t3 - t4 - t5 - t6 - t7 > 0", "1 + t2 > 0", "1 + t3 > 0",
+      "1 + t4 > 0", "1 + t5 > 0", "1 + t6 > 0", "1 + t7 > 0"],
+     [],
+     ["(1,2,3,5): -a[1,2,4]*a[3,4,5] + a[1,3,4]*a[2,4,5] = 0",
+      "(1,2,3,6): -a[1,2,4]*a[3,4,6] = 0",
+      "(1,2,4,5): a[1,2,3]*a[3,4,5] = 0",
+      "(1,2,4,6): a[1,2,3]*a[3,4,6] + a[1,4,5]*a[2,5,6] "
+      "- a[1,5,6]*a[2,4,5] = 0",
+      "(1,2,5,6): a[1,2,3]*a[3,5,6] + a[1,2,4]*a[4,5,6] = 0",
+      "(1,3,4,6): a[1,4,5]*a[3,5,6] - a[1,5,6]*a[3,4,5] = 0",
+      "(1,3,5,6): a[1,3,4]*a[4,5,6] = 0",
+      "(2,3,4,6): a[2,4,5]*a[3,5,6] - a[2,5,6]*a[3,4,5] = 0"]),
+    (ONE_QUAD_MULT3, ["3/2", 1, "1/3", 2, 1, 1, "5/2"],
+     ["3/2 + t > 0", "1 + s > 0", "1 - s - t > 0"],
+     ["s = (19/4 + t + 2*t^2)/(5 - 2*t)", "s = (-11/4 - 7*t)/(5 - 2*t)",
+      "t = (-3/4 - s + 2*s^2)/(7 - 2*s)"],
+     ["(1,2,3,7): -a[1,2,4]*a[3,4,7] + a[1,3,5]*a[2,5,7] "
+      "- a[1,6,7]*a[2,3,6] = 0"]),
+    (ONE_QUAD_NON_SPANNING, ["3/2", 1, "1/3", 2, 1, 1, "5/2", 1, 1],
+     ["1/3 + s + t > 0", "1 - s - t > 0", "1 - t > 0", "1 + s > 0",
+      "1 + t > 0"],
+     ["s = (13/6 - 7/2*t)/(29/6)", "s = (13/6 - 7/2*t)/(29/6)"],
+     ["(1,2,4,8): a[1,4,6]*a[2,6,8] - a[1,7,8]*a[2,4,7] = 0"]),
+]
+
+
+@pytest.mark.parametrize("text,center,domain,curves,equations", TEXTS)
+def test_domain_curve_and_equation_texts(text, center, domain, curves,
+                                         equations):
+    lam = parse_index_set(text)
+    a0 = None if center is None else [Fraction(x) for x in center]
+    doc = build_cross_section_report(cross_section(lam, a0=a0))
+    assert doc["domain"] == domain
+    assert [b["curve"] for b in doc.get("branches", ())
+            if "curve" in b] == curves
+    assert doc["jacobi_system"] == equations
+
+
+def test_recorded_reports_match_their_digests():
+    """Every stratum of perfbench/strata.json (read, never written) with a
+    recorded digest: its structured ``analyze --cross-section`` report
+    still has that digest, and its text report parses back to the same
+    document."""
+    strata = [e for e in recorded_strata() if e["digest"] is not None]
+    assert len(strata) == 514
+    for entry in strata:
+        stdin = entry["index_set"] + "\n"
+        rc, structured, _ = run(["analyze", "--cross-section", "--format",
+                                 "structured", "-"], stdin)
+        assert rc == 0
+        digest = hashlib.sha256(structured.encode("utf-8")).hexdigest()
+        assert digest[:16] == entry["digest"], entry["index_set"]
+        rc, text, _ = run(["analyze", "--cross-section", "-"], stdin)
+        assert rc == 0
+        assert parse_text(text) == json.loads(structured), \
+            entry["index_set"]
