@@ -27,9 +27,8 @@ from .quadruples import CLASSIFICATIONS
 from .report import (build_analysis_report, build_cross_section_report,
                      build_isomorphism_report, render_text, SWEEP_SCHEMA)
 from .sweep import sweep_counts, sweep_strata
-from .triples import (IndexSet, StructureVector, decode_json,
-                      enumerate_theta, index_set_document,
-                      index_set_from_json, parse_index_set, structure_vector)
+from .triples import (IndexSet, StructureVector, enumerate_theta,
+                      index_set_document, parse_document, split_entries)
 
 PRECONDITION_ERRORS = (ModeError, CapExceededError, OutsideDomainError,
                        UnsupportedShapeError, WNotQuadrupleDerivedError)
@@ -98,32 +97,8 @@ def _fraction(text) -> Fraction:
 
 def load_input(path: str) -> tuple[IndexSet, dict[str, StructureVector]]:
     """Index set plus named structure vectors from a text or JSON file."""
-    text = _read_source(path).strip()
-    if text.startswith("{"):
-        doc = decode_json(text)
-        lam = index_set_from_json(doc)
-        raw = doc.get("vectors", {})
-        if not isinstance(raw, dict) or not all(
-                isinstance(vals, list)
-                and all(type(v) in (int, str) for v in vals)
-                for vals in raw.values()):
-            raise MalformedInputError(
-                '"vectors" must map names to lists of integers or strings')
-    else:
-        raw, set_lines = {}, []
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head, sep, tail = line.partition(":")
-            if sep and head.strip().isidentifier() and \
-                    not head.strip() == "mode":
-                raw[head.strip()] = [v for chunk in tail.split(",")
-                                     for v in chunk.split()]
-            else:
-                set_lines.append(line)
-        lam = parse_index_set(" ".join(set_lines))
-    return lam, {name: structure_vector(lam, map(_fraction, vals))
+    lam, raw = parse_document(_read_source(path))
+    return lam, {name: StructureVector(lam, tuple(map(_fraction, vals)))
                  for name, vals in raw.items()}
 
 
@@ -137,8 +112,7 @@ def _emit(doc: dict, fmt: str) -> None:
 def _spec_from_args(lam: IndexSet, args) -> cs.CrossSectionSpec:
     a0 = None
     if args.center is not None:
-        a0 = [_fraction(x) for chunk in args.center.split(",")
-              for x in chunk.split()]
+        a0 = list(map(_fraction, split_entries(args.center)))
     return cs.cross_section(lam, a0=a0, p=_fraction(args.exponent))
 
 

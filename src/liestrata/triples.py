@@ -59,16 +59,6 @@ def memo(fn):
     return memoized
 
 
-def check_triple(t: Triple, n: int, mode: str = THETA) -> None:
-    """Raise if t is not a valid triple of the given mode inside [n]."""
-    if not (1 <= t.i <= n and 1 <= t.j <= n and 1 <= t.k <= n):
-        raise IndexOutOfRangeError(f"{t} has an entry outside [1, {n}]")
-    if not t.i < t.j:
-        raise OrderViolationError(f"{t} needs i < j")
-    if mode == THETA and not t.j < t.k:
-        raise OrderViolationError(f"{t} needs i < j < k in theta mode")
-
-
 def enumerate_theta(n: int) -> list[Triple]:
     """All triples with 1 <= i < j < k <= n in dictionary order."""
     if n < 1:
@@ -85,12 +75,20 @@ class IndexSet:
     mode: str = THETA
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise IndexOutOfRangeError("dimension must be at least 1")
+        # a bad triple (exit 2) is reported before an unknown mode (exit 3)
+        for t in self.triples:
+            if not (1 <= t.i <= n and 1 <= t.j <= n and 1 <= t.k <= n):
+                raise IndexOutOfRangeError(
+                    f"{t} has an entry outside [1, {n}]")
+            if not t.i < t.j:
+                raise OrderViolationError(f"{t} needs i < j")
+            if self.mode == THETA and not t.j < t.k:
+                raise OrderViolationError(f"{t} needs i < j < k in theta mode")
         if self.mode not in (THETA, UPSILON):
             raise ModeError(f"unknown mode {self.mode!r}")
-        for t in self.triples:
-            check_triple(t, self.n, self.mode)
         if list(self.triples) != sorted(set(self.triples)):
             raise OrderViolationError("triples must be strictly ascending")
 
@@ -114,10 +112,7 @@ def validate_index_set(raw: Iterable[tuple[int, int, int]], n: int,
     if n > MAX_INPUT_N:
         raise CapExceededError(
             f"n={n} exceeds the input ceiling {MAX_INPUT_N}")
-    triples = [Triple(*t) for t in raw]
-    for t in triples:
-        check_triple(t, n, mode)
-    triples.sort()
+    triples = sorted(Triple(*t) for t in raw)
     for a, b in zip(triples, triples[1:]):
         if a == b:
             raise DuplicateTripleError(f"duplicate triple {a}")
@@ -125,10 +120,11 @@ def validate_index_set(raw: Iterable[tuple[int, int, int]], n: int,
 
 
 def decode_json(text: str):
-    """json.loads, with nesting too deep for the decoder and integers longer
-    than the interpreter's int-string limit as malformed input."""
+    """json.loads, with nesting too deep for the decoder, integers longer
+    than the interpreter's int-string limit and a key repeated in one
+    object as malformed input."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise MalformedInputError("JSON nested too deeply") from None
     except json.JSONDecodeError:
@@ -138,9 +134,70 @@ def decode_json(text: str):
             from None
 
 
-def index_set_from_json(doc) -> IndexSet:
-    """The IndexSet of a decoded JSON object {"n": .., "mode": ..,
-    "triples": [[i,j,k], ...]} with integer n and entries; mode optional."""
+def _unique_keys(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise MalformedInputError(f"{key!r} given twice")
+        doc[key] = value
+    return doc
+
+
+def split_entries(text: str) -> list[str]:
+    """The entries of a vector line or of --center."""
+    return text.replace(",", " ").split()
+
+
+def _text_document(text: str) -> dict:
+    """The JSON document a text input stands for."""
+    pairs, vectors, tokens = [], [], []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0]
+        head, sep, tail = line.partition(":")
+        if sep and head.strip().isidentifier() and head.strip() != "mode":
+            vectors.append((head.strip(), split_entries(tail)))
+            continue
+        for segment in map(str.strip, line.split(";")):
+            if segment.startswith("n="):
+                pairs.append(("n", _integer(segment[2:], segment)))
+            elif segment.startswith("mode="):
+                pairs.append(("mode", segment[5:].strip()))
+            else:
+                tokens += segment.replace(")", ") ").split()
+    doc = _unique_keys(pairs)
+    if "n" not in doc:
+        raise MalformedInputError("missing 'n=' segment in index-set text")
+    doc["triples"] = list(map(_triple, tokens))
+    doc["vectors"] = _unique_keys(vectors)
+    return doc
+
+
+def _triple(token: str) -> list[int]:
+    parts = token[1:-1].split(",")
+    if token[0] + token[-1] != "()" or len(parts) != 3:
+        raise MalformedInputError(f"bad triple token {token!r}")
+    return [_integer(p, token) for p in parts]
+
+
+def _integer(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInputError(f"bad integer in {where!r}") from None
+
+
+def parse_document(text: str) -> tuple[IndexSet, dict[str, list]]:
+    """The index set and the raw entries of each named vector of an input
+    document: JSON ``{"n": .., "mode": .., "triples": [[i,j,k], ...],
+    "vectors": {name: [..], ...}}`` (mode and vectors optional) or text.
+
+    Text is ``n=7; mode=theta; (1,2,4) (1,3,5) ...`` (mode optional) plus
+    ``name: v, v, ...`` vector lines; a line break ends a segment as ``;``
+    does, and ``#`` starts a comment.  A key or label given twice is
+    refused.
+    """
+    text = text.strip()
+    doc = decode_json(text) if text.startswith("{") else _text_document(text)
     if not isinstance(doc, dict):
         raise MalformedInputError("an index set must be a JSON object")
     n, raw, mode = doc.get("n"), doc.get("triples"), doc.get("mode", THETA)
@@ -153,53 +210,18 @@ def index_set_from_json(doc) -> IndexSet:
             and all(type(x) is int for x in t) for t in raw):
         raise MalformedInputError(
             '"triples" must be a list of [i, j, k] integer lists')
-    return validate_index_set(raw, n, mode)
+    lam, vectors = validate_index_set(raw, n, mode), doc.get("vectors", {})
+    if not isinstance(vectors, dict) or not all(
+            isinstance(vals, list) and all(type(v) in (int, str) for v in vals)
+            for vals in vectors.values()):
+        raise MalformedInputError(
+            '"vectors" must map names to lists of integers or strings')
+    return lam, vectors
 
 
 def parse_index_set(text: str) -> IndexSet:
-    """Parse the textual format ``n=7; (1,2,4) (1,3,5) ...``.
-
-    An optional ``mode=theta|upsilon`` segment may appear before the triples.
-    JSON documents ``{"n": .., "mode": .., "triples": [[i,j,k], ...]}`` are
-    accepted too.
-    """
-    text = text.strip()
-    if text.startswith("{"):
-        return index_set_from_json(decode_json(text))
-    n = None
-    mode = THETA
-    triple_src = []
-    for segment in text.split(";"):
-        segment = segment.strip()
-        if not segment:
-            continue
-        if segment.startswith("n="):
-            n = _integer(segment[2:], segment)
-        elif segment.startswith("mode="):
-            mode = segment[5:].strip()
-        else:
-            triple_src.append(segment)
-    if n is None:
-        raise MalformedInputError("missing 'n=' segment in index-set text")
-    raw = []
-    for chunk in " ".join(triple_src).replace(")", ") ").split():
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise MalformedInputError(f"bad triple token {chunk!r}")
-        parts = chunk[1:-1].split(",")
-        if len(parts) != 3:
-            raise MalformedInputError(f"bad triple token {chunk!r}")
-        raw.append(tuple(_integer(p, chunk) for p in parts))
-    return validate_index_set(raw, n, mode)
-
-
-def _integer(text: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise MalformedInputError(f"bad integer in {where!r}") from None
+    """The index set of an input document (see ``parse_document``)."""
+    return parse_document(text)[0]
 
 
 def index_set_document(lam: IndexSet) -> dict:

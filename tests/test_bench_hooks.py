@@ -1,10 +1,13 @@
-"""The names the benchmark's tracer hooks into must exist in the package.
+"""The names the benchmark uses must exist in the package.
 
 ``perfbench/spans.py`` wraps functions by name from outside, so renaming
-one of them would quietly break ``--trace 1``.  The file is read and
-executed here, never modified, and no bytecode is cached next to it.
+one of them would quietly break ``--trace 1``; the other perfbench scripts
+import names inside functions, so a rename would fail only when the
+benchmark runs.  The files are read and parsed or executed here, never
+modified, and no bytecode is cached next to them.
 """
 
+import ast
 import importlib
 import inspect
 import types
@@ -15,7 +18,8 @@ import pytest
 
 from liestrata import cli, sweep
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -31,6 +35,22 @@ def test_every_traced_name_exists():
         module = importlib.import_module("liestrata." + layer)
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_every_name_perfbench_imports_exists():
+    imported = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                    node.module.split(".")[0] == "liestrata"):
+                imported.update((path.name, node.module, alias.name)
+                                for alias in node.names)
+    for script, module, name in imported:
+        value = getattr(importlib.import_module(module), name, None)
+        assert callable(value), f"{script}: {module}.{name}"
+    # the scan sees the imports inside functions, not only the top level
+    assert ("checks.py", "liestrata.triples", "parse_index_set") in imported
 
 
 def test_summarize_counts_every_enumerated_stratum(monkeypatch):

@@ -145,7 +145,56 @@ def test_a_program_fault_is_not_an_input_error(monkeypatch):
             run_main(["analyze", "-"], FILIFORM4)
 
 
-def test_json_and_text_inputs_agree():
+NAMES = st.sampled_from(["a", "b", "c", "n", "x1", "mu_2"])
+ENTRIES = st.integers(-9, 9).filter(bool).map(str) \
+    | st.sampled_from(["1/2", "-3/7", "5/3", "-22"])
+
+
+@st.composite
+def documents_in_both_formats(draw):
+    """An index set of either mode (n <= 8) with 0-3 named vectors, as the
+    text and the JSON document that should read alike."""
+    n = draw(st.integers(1, 8))
+    mode = draw(st.sampled_from([triples.THETA, triples.UPSILON]))
+    pool = enumerate_theta(n) if mode == triples.THETA else [
+        (i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+        for k in range(1, n + 1)]
+    picked = draw(st.lists(st.sampled_from(pool), max_size=10, unique=True)) \
+        if pool else []
+    lam = triples.validate_index_set(picked, n, mode)
+    vectors = {name: draw(st.lists(ENTRIES, min_size=len(lam),
+                                   max_size=len(lam)))
+               for name in draw(st.lists(NAMES, max_size=3, unique=True))}
+    head = str(lam)
+    if draw(st.booleans()):  # a line break ends a segment as ";" does
+        head = head.replace("; ", draw(st.sampled_from([";\n", "\n"])))
+    lines = [head] + [f"{name}: " + draw(st.sampled_from([", ", " ", ","]))
+                      .join(vals) for name, vals in vectors.items()]
+    text = "\n".join(line + draw(st.sampled_from(["", "  # note", "#a: 1"]))
+                     for line in lines)
+    doc = triples.index_set_document(lam)
+    doc["triples"] = draw(st.permutations(doc["triples"]))
+    if vectors or draw(st.booleans()):
+        doc["vectors"] = vectors
+    return lam, vectors, text, json.dumps(doc)
+
+
+def load_stdin(source):
+    with mock.patch("sys.stdin", io.StringIO(source)):
+        return cli.load_input("-")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case=documents_in_both_formats())
+def test_json_and_text_inputs_agree(case):
+    lam, vectors, text, doc = case
+    assert triples.parse_document(text) == triples.parse_document(doc) == \
+        (lam, vectors)
+    assert load_stdin(text) == load_stdin(doc)
+    assert parse_index_set(str(lam)) == lam
+
+
+def test_isomorphic_reads_json_and_text_alike():
     lam = parse_index_set(ONE_QUAD_MULT2)
     doc = {"n": lam.n, "triples": [list(t) for t in reversed(lam.triples)],
            "vectors": {"a": [1] * 6, "b": ["1", "2", "1/2", "-1", "1", "1"]}}
@@ -154,6 +203,50 @@ def test_json_and_text_inputs_agree():
     assert parse_index_set(json.dumps(doc)) == lam
     assert run_main(["isomorphic", "-"], json.dumps(doc)) == \
         run_main(["isomorphic", "-"], text)
+
+
+VECTORS = "\na: 1, 1, 1, 1, 1, 1\nb: 2, 1, 1, 1, 1, 1"
+MULT2_JSON = json.dumps(parse_index_set(ONE_QUAD_MULT2).triples)
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param(ONE_QUAD_MULT2 + VECTORS + "\na: 2, 1, 1, 1, 1, 1",
+                 id="vector line"),
+    pytest.param(ONE_QUAD_MULT2.replace("n=7;", "n=7; n=8;") + VECTORS,
+                 id="n= segment"),
+    pytest.param(ONE_QUAD_MULT2.replace("n=7;",
+                                        "n=7; mode=upsilon\nmode=theta;")
+                 + VECTORS, id="mode= segment"),
+    pytest.param('{"n": 7, "n": 8, "triples": %s, "vectors": {"a": [1, 1, 1, '
+                 '1, 1, 1], "b": [2, 1, 1, 1, 1, 1]}}' % MULT2_JSON,
+                 id="JSON n"),
+    pytest.param('{"n": 7, "triples": %s, "vectors": {"a": [1, 1, 1, 1, 1, '
+                 '1], "b": [2, 1, 1, 1, 1, 1], "a": [2, 1, 1, 1, 1, 1]}}'
+                 % MULT2_JSON, id="JSON vector")])
+@pytest.mark.parametrize("command",
+                         ["analyze", "isomorphic", "jacobi", "cross-section"])
+def test_a_repeated_label_is_refused(command, source):
+    rc, out, err = run_main([command, "-"], source)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "given twice" in err
+
+
+@pytest.mark.parametrize("text, code", [
+    ("n=4; mode=bogus; (1,2,9)", 2), ("n=4; mode=bogus; (2,1,3)", 2),
+    ("n=4; mode=bogus; (1,2,3) (1,2,3)", 2), ("n=4; mode=bogus; (1,2,3)", 3)])
+def test_a_bad_triple_is_an_input_error_whatever_the_mode(text, code):
+    rc, out, err = run_main(["analyze", "-"], text)
+    assert (rc, out) == (code, "")
+    assert err.startswith("error: ")
+
+
+def test_a_line_break_ends_a_segment():
+    two_lines = run_main(["analyze", "-"], "n=4\n(1,2,3) (1,3,4)")
+    assert two_lines == run_main(["analyze", "-"], "n=4; (1,2,3) (1,3,4)")
+    assert two_lines[0] == 0
+    # so a value on the line after its "n=" or "mode=" is refused
+    for text in ("n=\n4; (1,2,3)", "n=4; mode=\nupsilon; (1,2,3)"):
+        assert run_main(["analyze", "-"], text)[:2] == (2, "")
 
 
 # ---------------------------------------------------------------------------
