@@ -20,7 +20,7 @@ from .errors import (DimensionMismatchError, ModeError, NotAlignedError,
                      OutsideDomainError, UnsupportedShapeError,
                      WNotQuadrupleDerivedError)
 from .jacobi import JacobiSystem, is_lie, jacobi_system
-from .linalg import (IntVector, gf2_coset_transversal, kernel_basis,
+from .linalg import (IntVector, _pivot, gf2_coset_transversal, kernel_basis,
                      primitive, root_matrix, span_equals, transpose)
 from .poly import (Poly, add_univar, degree_in, eval_univar, evaluate,
                    format_sum, mul_univar, rational_roots, univariate_in)
@@ -162,12 +162,11 @@ def _implied(candidate: LinearInequality,
     lrs).  Row i holds q_i scaled to primitive integers, with slack_i
     standing for that scaled q_i, so the slack basis is the identity; the
     last column is the right-hand side.  The objective row holds -cost and
-    the candidate's value, scaled the same way.  A pivot p replaces every
-    other row by (p * row - row[enter] * pivot_row) // det and sets det = p;
-    the division is exact, and every row stays a positive multiple of its
-    Fraction-tableau counterpart, since det and every pivot are positive.
-    Signs and ratios, which are all the pivot rules read, are therefore
-    the same as over Fraction.
+    the candidate's value, scaled the same way.  Each step is one
+    linalg._pivot over all m + 1 rows, which says why it is exact.  Every
+    pivot is positive, so every row stays a positive multiple of its
+    Fraction-tableau counterpart: signs and ratios, which are all the pivot
+    rules read, are the same as over Fraction.
     """
     if not others:
         return False
@@ -203,14 +202,8 @@ def _implied(candidate: LinearInequality,
                     leave, num, den = i, tab[i][-1], a
         if leave is None:
             return False  # unbounded below
-        prow = tab[leave]
-        p = prow[enter]
-        for i, row in enumerate(tab):
-            if i != leave:
-                f = row[enter]
-                tab[i] = [(p * x - f * y) // det for x, y in zip(row, prow)]
+        det = _pivot(tab, leave, enter, det, range(m + 1))
         basis[leave] = enter
-        det = p
         if tab[m][-1] < 0:
             return False  # the candidate's value went negative
 

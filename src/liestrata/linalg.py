@@ -2,6 +2,8 @@
 
 Rank, kernels and spans are computed by fraction-free (Bareiss) elimination
 over the integers; rational input rows are first scaled to integer rows.
+One exact-division step, ``_pivot``, serves them all and the redundancy LP
+of ``cross_sections``.
 Kernels and spans come out as primitive integer vectors in a canonical
 echelon-derived form.  Over GF(2) the root matrix is stored by columns,
 each packed into an integer word whose bit ``r`` holds row ``r``, and
@@ -63,62 +65,63 @@ def _integer_rows(rows: Iterable[Sequence]) -> list[list[int]]:
 
 
 def rank(rows: Iterable[Sequence]) -> int:
-    """Rank over Q, by Bareiss elimination on integer-scaled rows.
+    """Rank over Q, by Bareiss elimination on integer-scaled rows."""
+    return len(_eliminate(_integer_rows(rows), reduced=False)[1])
 
-    Each step replaces a row below the pivot by (p * row - f * pivot_row)
-    divided by the previous pivot; by Sylvester's identity that division is
-    exact, so every entry stays an integer minor of the input.
+
+def _pivot(m: list[list[int]], r: int, c: int, det: int,
+           rows: Iterable[int]) -> int:
+    """Pivot the integer rows m on entry (r, c) in place; return p = m[r][c].
+
+    Each row i in rows other than r becomes
+    (p * m[i] - m[i][c] * m[r]) // det, det being the previous pivot (1 at
+    first) and p the next.  The division is exact: the result is an integer
+    minor of the starting rows, by Sylvester's identity for a row not yet
+    pivoted and by Cramer's rule for one that was.  A row that was det
+    times its Fraction-tableau counterpart (pivot rows divided by their
+    pivot) is p times it after, so while every pivot is positive each row
+    is a positive multiple of its counterpart, with the same signs and
+    ratios.
     """
-    m = _integer_rows(rows)
-    ncols = len(m[0]) if m else 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        top = m[r]
-        p = top[c]
-        for i in range(r + 1, len(m)):
+    top = m[r]
+    p = top[c]
+    for i in rows:
+        if i != r:
             f = m[i][c]
-            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-        r += 1
-        if r == len(m):
-            break
-    return r
+            m[i] = [(p * x - f * y) // det for x, y in zip(m[i], top)]
+    return p
 
 
-def _gauss_jordan(m: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+def _eliminate(m: list[list[int]], reduced: bool
+               ) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free elimination of integer rows, in place.
 
-    A pivot p at (r, c) replaces every other row by
-    (p * row - row[c] * pivot_row) // det and then sets det = p: Bareiss's
-    exact division carried through to the rows above the pivot.  Each
-    nonzero row left is det times the matching row of the reduced echelon
-    form over Q.  Returns (nonzero rows, pivot columns, det).
+    Each column's pivot is the first nonzero entry at or below the current
+    row.  A reduced elimination (Gauss-Jordan) clears the pivot column from
+    every other row, so each nonzero row left is det times the matching row
+    of the reduced echelon form over Q, with det > 0; otherwise only the
+    rows below are cleared (Bareiss), which is all a rank needs.  Returns
+    (nonzero rows, pivot columns, det).
     """
     pivots: list[int] = []
     det = 1
     r = 0
     ncols = len(m[0]) if m else 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, len(m)):
+            if m[pivot][c]:
+                break
+        else:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        top = m[r]
-        p = top[c]
-        for i in range(len(m)):
-            if i != r:
-                f = m[i][c]
-                m[i] = [(p * x - f * y) // det for x, y in zip(m[i], top)]
-        det = p
+        det = _pivot(m, r, c, det,
+                     range(len(m)) if reduced else range(r + 1, len(m)))
         pivots.append(c)
         r += 1
         if r == len(m):
             break
+    if det < 0:
+        return [[-x for x in row] for row in m[:r]], pivots, -det
     return m[:r], pivots, det
 
 
@@ -127,25 +130,25 @@ def left_null_basis(rows: IntMatrix) -> tuple[IntVector, ...]:
 
     The basis comes from the reduced echelon form of Y^T: one vector per
     free column, positive at its own free coordinate and 0 at the others.
-    After fraction-free Gauss-Jordan each pivot row i is det times the
-    reduced row, so det * e_f - sum_i red[i][f] * e_{pivot_i}, oriented and
-    divided by its gcd, is the primitive form of that vector.  Empty when
-    the kernel is trivial.
+    After fraction-free Gauss-Jordan each pivot row i is det > 0 times the
+    reduced row, so det * e_f - sum_i red[i][f] * e_{pivot_i}, divided by
+    its gcd, is the primitive form of that vector.  Empty when the kernel
+    is trivial.
     """
     m = len(rows)
     if m == 0:
         return ()
-    red, pivots, det = _gauss_jordan(_integer_rows(transpose(rows)))
-    sign = 1 if det > 0 else -1
+    red, pivots, det = _eliminate(_integer_rows(transpose(rows)),
+                                  reduced=True)
     is_pivot = set(pivots)
     basis = []
     for f in range(m):
         if f in is_pivot:
             continue
         v = [0] * m
-        v[f] = sign * det
+        v[f] = det
         for row, p in zip(red, pivots):
-            v[p] = -sign * row[f]
+            v[p] = -row[f]
         basis.append(primitive(v))
     return tuple(basis)
 
@@ -160,9 +163,8 @@ def primitive_span_basis(vectors: Sequence[Sequence]) -> tuple[IntVector, ...]:
     """Canonical primitive integer basis for the span of rational vectors:
     the rows of its reduced echelon form, each scaled to a primitive integer
     vector with a positive leading entry."""
-    red, _, det = _gauss_jordan(_integer_rows(vectors))
-    sign = 1 if det > 0 else -1
-    return tuple(tuple([sign * x for x in primitive(row)]) for row in red)
+    return tuple(map(primitive, _eliminate(_integer_rows(vectors),
+                                           reduced=True)[0]))
 
 
 def span_equals(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> bool:

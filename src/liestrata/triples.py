@@ -154,7 +154,7 @@ def _text_document(text: str) -> dict:
     for line in text.splitlines():
         line = line.split("#", 1)[0]
         head, sep, tail = line.partition(":")
-        if sep and head.strip().isidentifier() and head.strip() != "mode":
+        if sep and head.strip().isidentifier():
             vectors.append((head.strip(), split_entries(tail)))
             continue
         for segment in map(str.strip, line.split(";")):

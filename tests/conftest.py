@@ -1,7 +1,10 @@
 """Shared fixtures: the recurring index sets and random generators."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 import random
+import signal
+import time
 
 import pytest
 
@@ -85,3 +88,42 @@ def random_structure_vector(rng: random.Random, lam, bound: int = 9):
 
 def random_nonzero_diag(rng: random.Random, n: int, bound: int = 9):
     return [random_rational(rng, bound) for _ in range(n)]
+
+
+class Overrun(BaseException):
+    """Raised by deadline.  Not an Exception: hypothesis then reports the
+    test at once instead of shrinking, which would run the hanging example
+    again and again, and no `except Exception` under test swallows it."""
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise Overrun in this process if the block runs past seconds (a
+    forked worker does not inherit the alarm).  An enclosing deadline's
+    alarm is set again, less the time spent, when the block ends."""
+    def expire(signum, frame):
+        raise Overrun(f"still running after {seconds} s, in "
+                      f"{frame.f_code.co_qualname}")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    start, outer = time.monotonic(), signal.alarm(seconds)
+    try:
+        yield
+    except Overrun as exc:
+        # raised afresh, since the interrupted frame may have no line
+        # number (Python 3.11), which pytest fails to report
+        raise Overrun(*exc.args) from None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:
+            signal.alarm(max(1, outer - int(time.monotonic() - start)))
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Every test fails after 60 s instead of hanging the suite; the
+    slowest takes about 2 s.  A pivot bug can make the redundancy LP loop
+    forever."""
+    with deadline(60):
+        return (yield)

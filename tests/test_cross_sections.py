@@ -17,7 +17,9 @@ from liestrata import (DimensionMismatchError, OutsideDomainError,
                        solve_branch_fixtures, structure_vector, w_vector)
 from liestrata import cross_sections, parse_index_set
 from liestrata.linalg import kernel_basis
-from liestrata.cross_sections import (CrossSectionSpec, CurveSolution,
+from liestrata.report import build_cross_section_report
+from liestrata.cross_sections import (Certificate, CrossSectionSpec,
+                                      CurveSolution,
                                       LinearInequality, PolytopeDomain,
                                       _common_roots,
                                       _vertical_line_meets_domain,
@@ -186,6 +188,40 @@ def test_lemma_certificate_rejects_non_w_vectors(one_quad_mult2):
     # a kernel vector that is not of the two-plus-two-minus shape
     spec = cross_section(one_quad_mult2, W=[(2, -2, 0, 0, -2, 2)])
     with pytest.raises(WNotQuadrupleDerivedError):
+        lemma58_certificate(spec)
+
+
+@pytest.mark.parametrize("text, W, reason", [
+    # one w-vector of a two-dimensional kernel
+    ("n=6; (1,2,3) (1,3,4) (2,3,5) (2,3,6) (2,4,5) (2,4,6) (3,5,6) (4,5,6)",
+     [(0, 0, 1, 0, -1, 0, -1, 1)], "directions are not a null-space basis"),
+    # three w-vectors spanning the kernel; each of positions 1, 3, 8, 9 of
+    # the first one lies in another support
+    ("n=7; (1,2,3) (1,3,6) (1,4,6) (1,5,7) (1,6,7) (2,4,5) (2,4,6) (2,6,7) "
+     "(3,4,7) (4,6,7)",
+     [(1, 0, -1, 0, 0, 0, 0, -1, 1, 0), (1, 0, 0, -1, 0, -1, 0, 0, 1, 0),
+      (0, 0, 1, 0, -1, 0, -1, 1, 0, 0)],
+     "every position of direction 1 recurs elsewhere")])
+def test_lemma_certificate_refusal_reasons(text, W, reason):
+    spec = cross_section(parse_index_set(text), W=W)
+    assert lemma58_certificate(spec) == Certificate(False, reason)
+    assert build_cross_section_report(spec)["certificate"] == \
+        {"certified": False, "reason": reason}
+
+
+def test_lemma_certificate_rejects_pairs_of_different_quadruples(
+        two_quads_mult2):
+    # (1,3,4)+(2,4,7) is aligned with quadruple (1,2,3,7), (1,4,6)+(2,6,8)
+    # with (1,2,4,8); cross_section refuses the direction (it leaves
+    # Null(Y^T)), so only a spec built by hand reaches this check
+    w = (1, -1, 0, 0, 0, 1, -1, 0)
+    with pytest.raises(DimensionMismatchError):
+        cross_section(two_quads_mult2, W=[w])
+    spec = CrossSectionSpec(two_quads_mult2, (Fraction(1),) * 8, (w,),
+                            Fraction(1), ())
+    with pytest.raises(WNotQuadrupleDerivedError, match=(
+            r"^\(1, -1, 0, 0, 0, 1, -1, 0\) joins pairs with different "
+            r"quadruples$")):
         lemma58_certificate(spec)
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import starmap
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liestrata import (CapExceededError, IndexOutOfRangeError,
-                       MalformedInputError, enumerate_theta,
+                       MalformedInputError, StructureVector, enumerate_theta,
                        gf2_coset_transversal, parse_index_set)
 from liestrata import cli, linalg, sweep, triples
 from liestrata.sweep import pool_size
@@ -145,7 +146,7 @@ def test_a_program_fault_is_not_an_input_error(monkeypatch):
             run_main(["analyze", "-"], FILIFORM4)
 
 
-NAMES = st.sampled_from(["a", "b", "c", "n", "x1", "mu_2"])
+NAMES = st.sampled_from(["a", "b", "c", "n", "mode", "x1", "mu_2"])
 ENTRIES = st.integers(-9, 9).filter(bool).map(str) \
     | st.sampled_from(["1/2", "-3/7", "5/3", "-22"])
 
@@ -203,6 +204,19 @@ def test_isomorphic_reads_json_and_text_alike():
     assert parse_index_set(json.dumps(doc)) == lam
     assert run_main(["isomorphic", "-"], json.dumps(doc)) == \
         run_main(["isomorphic", "-"], text)
+
+
+def test_a_vector_may_be_named_mode():
+    lam = parse_index_set(FILIFORM4)
+    by_text = load_stdin(FILIFORM4 + "\nmode: 1, -1/2")
+    by_json = load_stdin('{"n": 4, "triples": [[1, 2, 3], [1, 3, 4]], '
+                         '"vectors": {"mode": [1, "-1/2"]}}')
+    assert by_text == by_json == (lam, {"mode": StructureVector(
+        lam, (Fraction(1), Fraction(-1, 2)))})
+    # a mode written as a vector line is a vector with a bad entry
+    rc, out, err = run_main(["analyze", "-"], FILIFORM4 + "\nmode: upsilon")
+    assert (rc, out, err) == (2, "",
+                              "error: not a rational number: 'upsilon'\n")
 
 
 VECTORS = "\na: 1, 1, 1, 1, 1, 1\nb: 2, 1, 1, 1, 1, 1"

@@ -4,10 +4,8 @@ plain enumeration and the document the CLI used to build in memory."""
 import json
 import os
 import random
-import signal
 import time
 from collections import Counter
-from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -29,7 +27,7 @@ from liestrata.sweep import sweep_strata
 from liestrata.triples import IndexSet, THETA, enumerate_theta
 
 from conftest import (MULT2_PLUS_MULT3, ONE_QUAD_MULT2, ONE_QUAD_MULT3,
-                      ONE_QUAD_NON_SPANNING, TWO_QUADS_MULT2,
+                      ONE_QUAD_NON_SPANNING, TWO_QUADS_MULT2, deadline,
                       random_index_set)
 from sweep_oracle import census, keep
 
@@ -456,22 +454,6 @@ def test_streamed_sweep_with_a_size_and_no_strata(capsys):
 # ---------------------------------------------------------------------------
 # The forked pool: results in task order, and no worker left behind
 # ---------------------------------------------------------------------------
-
-@contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in this process if the block runs past seconds
-    (a forked worker does not inherit the alarm)."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
