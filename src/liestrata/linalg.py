@@ -7,7 +7,8 @@ of ``cross_sections``.
 Kernels and spans come out as primitive integer vectors in a canonical
 echelon-derived form.  Over GF(2) the root matrix is stored by columns,
 each packed into an integer word whose bit ``r`` holds row ``r``, and
-reduced once per index set.  No floating point anywhere.
+reduced once per index set by ``gf2_reduce``, the one GF(2) reduction.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -183,24 +184,18 @@ def span_equals(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> boo
 # ---------------------------------------------------------------------------
 
 
-@memo
-def gf2_column_space(lam: IndexSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Echelon basis of the column space of lam's root matrix mod 2, as
-    m-bit words (bit r is row r), and the pivot row of each basis word.
+def gf2_reduce(words: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Echelon basis of the span of GF(2) vectors packed as integer words,
+    and the pivot bit of each basis word.
 
-    The n column words come straight from the triples; a coinciding index
-    cancels as it does mod 2.  Each word is reduced against the basis so
-    far and kept, pivoted at its lowest bit, if anything is left; the
-    pivots are then exactly the lowest bits of the column space's nonzero
-    members.
+    Each word is reduced against the basis so far and kept, pivoted at its
+    lowest bit, if anything is left; a kept word is 0 at every earlier
+    pivot, so the pivots are exactly the lowest bits of the span's nonzero
+    members and their number is the rank.
     """
-    cols = [0] * lam.n
-    for r, t in enumerate(lam.triples):
-        for c in t:
-            cols[c - 1] ^= 1 << r
     basis: list[int] = []
     pivots: list[int] = []
-    for word in cols:
+    for word in words:
         for b, p in zip(basis, pivots):
             if (word >> p) & 1:
                 word ^= b
@@ -208,6 +203,21 @@ def gf2_column_space(lam: IndexSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
             basis.append(word)
             pivots.append((word & -word).bit_length() - 1)
     return tuple(basis), tuple(pivots)
+
+
+@memo
+def gf2_column_space(lam: IndexSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """gf2_reduce of the columns of lam's root matrix mod 2, as m-bit words
+    (bit r is row r).
+
+    The n column words come straight from the triples; a coinciding index
+    cancels as it does mod 2.
+    """
+    cols = [0] * lam.n
+    for r, t in enumerate(lam.triples):
+        for c in t:
+            cols[c - 1] ^= 1 << r
+    return gf2_reduce(cols)
 
 
 def gf2_root_matrix(lam: IndexSet) -> IntMatrix:
@@ -224,11 +234,9 @@ def gf2_column_space_contains(lam: IndexSet, v: Sequence[int]) -> bool:
     if len(v) != len(lam):
         raise DimensionMismatchError(
             f"vector length {len(v)} != row count {len(lam)}")
+    basis, pivots = gf2_column_space(lam)
     word = sum((int(b) & 1) << i for i, b in enumerate(v))
-    for b, p in zip(*gf2_column_space(lam)):
-        if (word >> p) & 1:
-            word ^= b
-    return word == 0
+    return len(gf2_reduce((*basis, word))[1]) == len(pivots)
 
 
 # The most free coordinates gf2_coset_transversal enumerates, i.e. at most

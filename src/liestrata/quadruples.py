@@ -14,7 +14,8 @@ from itertools import combinations
 from typing import Collection
 
 from .errors import ModeError, NotAlignedError, UnknownQuadrupleError
-from .linalg import IntVector, primitive_span_basis, rank, root_matrix
+from .linalg import (IntVector, gf2_rank, gf2_reduce, primitive_span_basis,
+                     rank, root_matrix)
 from .triples import IndexSet, Triple, memo
 
 Quadruple = tuple[int, int, int, int]
@@ -242,9 +243,27 @@ def lambda_subspace(lam: IndexSet) -> tuple[IntVector, ...]:
     return primitive_span_basis(lambda_subspace_vectors(lam))
 
 
+@memo
 def null_space_spanning(lam: IndexSet) -> bool:
-    """Whether the w-vectors span the whole left null space of Y."""
+    """Whether the w-vectors span the whole left null space of Y.
+
+    Decided mod 2 first.  With m = |lam| and r2, rQ the ranks over GF(2)
+    and Q: a rank mod 2 never exceeds the rank over Q (an odd minor is
+    nonzero), and every w-vector w has Y^T w = 0, so for the matrix W of
+    w-vectors
+        r2(W) <= rQ(W) <= m - rQ(Y) <= m - r2(Y).
+    When r2(W) == m - r2(Y) every inequality is an equality and the
+    w-vectors span.  Two pairs of one quadruple share no triple, so a
+    w-vector's four positions are distinct and its word mod 2 has those
+    four bits.  Only when this certificate falls short are the ranks over
+    Q compared.
+    """
     lam.require_theta("null-space-spanning test")
+    words = ((1 << x.p) ^ (1 << x.r) ^ (1 << y.p) ^ (1 << y.r)
+             for pairs in quadruple_table(lam).pairs.values()
+             for x, y in combinations(pairs, 2))
+    if len(gf2_reduce(words)[1]) == len(lam) - gf2_rank(lam):
+        return True
     dim_null = len(lam) - rank(root_matrix(lam))
     return rank(lambda_subspace_vectors(lam)) == dim_null
 

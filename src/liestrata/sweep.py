@@ -12,8 +12,10 @@ get) is read from the prefix's.  An index that adds no quadruple keeps the
 prefix's status, one that adds a single quadruple the prefix lacks gives
 that quadruple multiplicity 1, and only the others count their quadruples
 in and out again.  So a stratum is dropped before its triples are built,
-and the rational kernel is only computed when its multiplicity pattern
-leaves more than one label open.
+and classify runs only when its multiplicity pattern leaves more than one
+label open; it then decides whether the w-vectors span the null space
+mod 2, and computes a rational rank only when that certificate falls
+short.
 
 A task returns plain records, not summaries: (theta indices, obstruction,
 classification, multiplicities).  Without a renderer the calling process
@@ -42,8 +44,9 @@ from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError, MalformedInputError
-from .quadruples import (OBSTRUCTION_EMPTY, classify, stratum_status,
-                         _pair_info)
+from .quadruples import (CLASSIFICATIONS, OBSTRUCTION_AUTOMATIC,
+                         OBSTRUCTION_EMPTY, OBSTRUCTION_NONTRIVIAL, classify,
+                         stratum_status, _pair_info)
 from .triples import IndexSet, THETA, Triple, enumerate_theta
 
 # No cap lifts n above this.  The pair table grows with the square of
@@ -255,7 +258,9 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
 
     The call itself checks its arguments, builds the pair table and lists
     the tasks, so a refused sweep (MalformedInputError for workers < 1, a
-    negative size, or size with max_size; CapExceededError for a cap)
+    negative size, size with max_size, or an obstruction or classification
+    that is not one of quadruples' statuses or labels; CapExceededError
+    for a cap)
     raises before its caller has written anything.  The returned
     generator then walks the tasks, each of at most LEAF_BOUND strata,
     serially or in at most ``workers`` forked processes (see pool_size),
@@ -268,6 +273,12 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
             raise MalformedInputError(f"{name}={value} is below {least}")
     if size is not None and max_size is not None:
         raise MalformedInputError("size and max_size exclude each other")
+    if obstruction not in (None, OBSTRUCTION_EMPTY, OBSTRUCTION_AUTOMATIC,
+                           OBSTRUCTION_NONTRIVIAL):
+        raise MalformedInputError(f"unknown obstruction {obstruction!r}")
+    if classification not in (None, *CLASSIFICATIONS):
+        raise MalformedInputError(
+            f"unknown classification {classification!r}")
     _check_caps(n, max_size, size, cap)
     theta, _ = _pair_cache(n)
     want_cls = n <= 6 or classification is not None

@@ -10,13 +10,14 @@ modified, and no bytecode is cached next to them.
 import ast
 import importlib
 import inspect
+import sys
 import types
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from liestrata import cli, sweep
+from liestrata import cli, linalg, quadruples, sweep
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -114,3 +115,24 @@ def test_traced_sweep_counts_one_item_per_emitted_stratum(render, workers):
     list(traced(5, size=5, classification="finite-1q2", workers=workers,
                 render=render))
     assert tracer.counters["sweep.strata_emitted"] == 120 + 16
+
+
+def test_census_classify_decides_every_stratum_mod_2(monkeypatch):
+    # census-classify's sweep: the GF(2) certificate settles every classify
+    # call, so linalg.rank, which perfbench traces, is never called
+    tracer = load_spans().Tracer()
+    monkeypatch.setattr(sweep, "classify",
+                        tracer.counted("quadruples.classify",
+                                       quadruples.classify))
+    rank = linalg.rank
+    for name, module in list(sys.modules.items()):  # every binding of rank
+        if name.split(".")[0] == "liestrata":
+            for attr, value in list(vars(module).items()):
+                if value is rank:
+                    monkeypatch.setattr(module, attr, tracer.counted(
+                        "linalg.rank", rank))
+    emitted = list(sweep.sweep_strata(7, size=5,
+                                      classification="finite-1q2"))
+    assert len(emitted) == 2782
+    assert tracer.counters["quadruples.classify"] == 2782
+    assert tracer.counters["linalg.rank"] == 0

@@ -320,6 +320,21 @@ def test_refused_structured_sweep_writes_nothing(argv, code):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("filters", [
+    {"classification": "bogus"},
+    {"obstruction": "bogus"},
+    # a label is not a status, nor a status other than "empty" a label
+    {"obstruction": "finite-1q2"},
+    {"classification": "nontrivial"},
+    # the CLI lower-cases --filter; the library takes the exact names
+    {"classification": "Finite-1q2"},
+])
+def test_sweep_strata_refuses_unknown_filters_at_the_call(filters):
+    # before the generator exists, as for its other refused arguments
+    with pytest.raises(MalformedInputError):
+        sweep.sweep_strata(4, **filters)
+
+
 # ---------------------------------------------------------------------------
 # Outside input is bounded: nesting depth of JSON, and n
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from liestrata import (DimensionMismatchError, Triple, UPSILON,
                        gf2_rank, gf2_root_matrix, left_null_basis, rank,
                        root_matrix, root_vector, span_equals,
                        validate_index_set)
-from liestrata.linalg import (gf2_column_space, primitive,
+from liestrata.linalg import (gf2_column_space, gf2_reduce, primitive,
                               primitive_span_basis, transpose)
 
 import gf2_oracle
@@ -222,6 +222,25 @@ def test_gf2_column_reduction_matches_row_oracle():
                     diff = tuple(x ^ z for x, z in zip(trans[a], trans[b]))
                     assert not gf2_oracle.column_space_contains(y, n, diff)
     assert coinciding >= 150
+
+
+def test_gf2_reduce_matches_row_oracle():
+    # any words, not only root columns: gf2_reduce also spans w-vectors
+    rng = random.Random(16)
+    for _ in range(300):
+        width = rng.randint(1, 12)
+        words = [rng.getrandbits(width) & rng.getrandbits(width)
+                 for _ in range(rng.randint(0, 10))]
+        basis, pivots = gf2_reduce(words)
+        assert len(pivots) == len(gf2_oracle.eliminate(words, width)[1])
+        assert len(set(pivots)) == len(pivots)
+        for b, p in zip(basis, pivots):
+            assert b & -b == 1 << p
+        for word in words:  # every word reduces to 0 against the basis
+            for b, p in zip(basis, pivots):
+                if (word >> p) & 1:
+                    word ^= b
+            assert word == 0
 
 
 def test_span_equals_basics():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -10,10 +11,14 @@ from liestrata import (ModeError, NotAlignedError, Triple,
                        lambda_subspace_vectors, left_null_basis,
                        null_space_spanning, pair_sign, quadruple_of,
                        quadruple_table, root_matrix, w_vector)
+from liestrata import sweep
 from liestrata.linalg import root_vector, transpose
 from liestrata.quadruples import root_dot
+from liestrata.triples import IndexSet
 
+import gf2_oracle
 from conftest import random_index_set
+from rref_oracle import rref
 
 
 def aligned_pair_root_sum(lam, pair):
@@ -121,6 +126,40 @@ def test_lambda_subspace_fixtures(mult2_plus_mult3, one_quad_non_spanning,
     assert not null_space_spanning(one_quad_non_spanning)
     assert lambda_subspace(filiform4) == ()
     assert null_space_spanning(filiform4)  # trivial kernel
+
+
+def classify_inputs(monkeypatch):
+    """The index set of every classify call of the census sweeps at n <= 5
+    and at n = 6 up to size 6, rebuilt so that nothing is memoized."""
+    seen = []
+
+    def recording(lam):
+        seen.append((lam.n, lam.triples))
+        return classify(lam)
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "classify", recording)
+        for n, max_size in ((3, None), (4, None), (5, None), (6, 6)):
+            for _ in sweep.sweep_strata(n, max_size=max_size):
+                pass
+    return [IndexSet(n, triples) for n, triples in seen]
+
+
+def test_null_space_spanning_matches_rref_ranks(monkeypatch):
+    # the oracle: ranks of Y and of the w-vectors by Fraction rref, with
+    # no GF(2) and no Bareiss; the GF(2) ranks (row-wise oracle) only sort
+    # the inputs by whether the mod-2 certificate decides them
+    rng = random.Random(25)
+    inputs = classify_inputs(monkeypatch)
+    assert len(inputs) == 1930  # 96 at n = 5, 1 834 at n = 6
+    inputs += [random_index_set(rng) for _ in range(3000)]
+    fallbacks = Counter()
+    for lam in inputs:
+        m, y, ws = len(lam), root_matrix(lam), lambda_subspace_vectors(lam)
+        spanning = len(rref(ws)[1]) == m - len(rref(y)[1])
+        assert null_space_spanning(lam) == spanning, lam
+        if gf2_oracle.rank(ws, m) < m - gf2_oracle.rank(y, lam.n):
+            fallbacks[spanning] += 1
+    assert fallbacks[True] and fallbacks[False], fallbacks
 
 
 def test_w_vector_cycle_relation(mult2_plus_mult3):
