@@ -16,8 +16,7 @@ from .errors import (CapExceededError, DimensionMismatchError,
                      DuplicateTripleError, IndexOutOfRangeError,
                      MalformedInputError, ModeError, NotAlignedError,
                      OrderViolationError, OutsideDomainError, StratumError,
-                     UnknownQuadrupleError, UnsupportedShapeError,
-                     WNotQuadrupleDerivedError)
+                     UnknownQuadrupleError, UnsupportedShapeError)
 from .jacobi import (JacobiEquation, JacobiSystem, brute_force_jacobiator,
                      evaluate_jacobi, format_system, is_lie, jacobi_system,
                      obstruction_status)

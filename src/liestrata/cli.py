@@ -19,8 +19,7 @@ from functools import lru_cache
 from . import cross_sections as cs
 from .errors import (CapExceededError, DimensionMismatchError,
                      MalformedInputError, ModeError, OutsideDomainError,
-                     StratumError, UnsupportedShapeError,
-                     WNotQuadrupleDerivedError)
+                     StratumError, UnsupportedShapeError)
 from .jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
                      OBSTRUCTION_NONTRIVIAL)
 from .quadruples import CLASSIFICATIONS
@@ -31,7 +30,7 @@ from .triples import (IndexSet, StructureVector, enumerate_theta,
                       index_set_document, parse_document, split_entries)
 
 PRECONDITION_ERRORS = (ModeError, CapExceededError, OutsideDomainError,
-                       UnsupportedShapeError, WNotQuadrupleDerivedError)
+                       UnsupportedShapeError)
 # every other StratumError is an input error
 INPUT_ERRORS = (StratumError, json.JSONDecodeError, OSError)
 

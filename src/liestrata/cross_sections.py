@@ -2,10 +2,22 @@
 the projection map with its exact Jacobian, injectivity certificates, and
 fixture-scale solving of the Jacobi system on each sign branch.
 
-A cross-section spec fixes a strictly positive rational center point, an
-ordered list of integer kernel directions, a sign transversal and a display
-exponent.  All solving happens on the affine (exponent 1) slice; a nonunit
-exponent only changes how magnitudes are rendered.
+A cross-section spec holds only what defines the slice: the index set Λ, a
+strictly positive rational center a0, integer directions W in the left null
+space of the root matrix Y, and a display exponent p (default 1), which
+changes only how magnitudes are rendered: all solving is on the affine
+slice.  Λ fixes the sign branches and the Jacobi system.
+
+The slice is injective on D-orbits for every Λ.  If points a != b of one
+sign branch lay in one D-orbit, log|a| - log|b| would lie in the column
+space of Y (diag(c) scales the entry of (i, j, k) by c_k / (c_i c_j)) and
+|a| - |b| in span(W), orthogonal to it; so sum_t (log|a_t| - log|b_t|)
+(|a_t| - |b_t|) = 0, whose terms are >= 0 and vanish only where
+|a_t| = |b_t|.  When W spans the left null space, Birch's theorem adds that
+each positive D-orbit meets the positive slice once (Craciun, Dickenstein,
+Shiu and Sturmfels, J. Symbolic Comput. 44 (2009)).  Equivalently,
+f_jacobian's W diag(1/a) W^T is positive definite; lemma58_certificate and
+dominance_certificate are narrower sufficient conditions.
 """
 
 from __future__ import annotations
@@ -17,8 +29,7 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatchError, ModeError, NotAlignedError,
-                     OutsideDomainError, UnsupportedShapeError,
-                     WNotQuadrupleDerivedError)
+                     OutsideDomainError, UnsupportedShapeError)
 from .jacobi import JacobiSystem, is_lie, jacobi_system
 from .linalg import (IntVector, _pivot, gf2_coset_transversal, kernel_basis,
                      primitive, root_matrix, span_equals, transpose)
@@ -30,13 +41,12 @@ from .triples import IndexSet, StructureVector, memo
 
 @dataclass(frozen=True)
 class CrossSectionSpec:
-    """Center point, kernel directions, sign transversal and exponent."""
+    """Index set, center point, kernel directions and display exponent."""
 
     lam: IndexSet
     a0: tuple[Fraction, ...]
     W: tuple[IntVector, ...]
-    p: Fraction
-    T: tuple[tuple[int, ...], ...]
+    p: Fraction = Fraction(1)
 
     @property
     def dim(self) -> int:
@@ -73,7 +83,7 @@ def cross_section(lam: IndexSet, a0: Sequence | None = None,
     p = Fraction(p)
     if p == 0:
         raise OutsideDomainError("exponent must be nonzero")
-    return CrossSectionSpec(lam, center, dirs, p, gf2_coset_transversal(lam))
+    return CrossSectionSpec(lam, center, dirs, p)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +328,23 @@ def lemma58_certificate(spec: CrossSectionSpec) -> Certificate:
     """
     if spec.dim == 0:
         return Certificate(True, "zero-dimensional slice")
-    supports = [_require_w_vector(spec.lam, w) for w in spec.W]
+    ts, supports = spec.lam.triples, []
+    for w in spec.W:  # w = e_a + e_b - e_c - e_d, both pairs aligned
+        plus = [k for k, v in enumerate(w) if v == 1]
+        minus = [k for k, v in enumerate(w) if v == -1]
+        if len(plus) != 2 or len(minus) != 2 or \
+                any(v not in (-1, 0, 1) for v in w):
+            return Certificate(
+                False, f"{w} is not of the form e_a + e_b - e_c - e_d")
+        try:
+            q_plus = quadruple_of(ts[plus[0]], ts[plus[1]])
+            q_minus = quadruple_of(ts[minus[0]], ts[minus[1]])
+        except (NotAlignedError, ModeError):
+            return Certificate(False, f"{w} does not join two aligned pairs")
+        if q_plus != q_minus:
+            return Certificate(
+                False, f"{w} joins pairs with different quadruples")
+        supports.append(frozenset(plus + minus))
     kernel = kernel_basis(spec.lam)
     if spec.dim != len(kernel) or not span_equals(spec.W, kernel):
         return Certificate(False, "directions are not a null-space basis")
@@ -333,27 +359,6 @@ def lemma58_certificate(spec: CrossSectionSpec) -> Certificate:
                     False,
                     f"position {pos + 1} of direction {i + 1} recurs twice")
     return Certificate(True, "supports satisfy the dominance conditions")
-
-
-def _require_w_vector(lam: IndexSet, w: IntVector) -> frozenset[int]:
-    """Check w = e_a + e_b - e_c - e_d with both pairs aligned, same quadruple."""
-    plus = [k for k, v in enumerate(w) if v == 1]
-    minus = [k for k, v in enumerate(w) if v == -1]
-    rest = [v for v in w if v not in (-1, 0, 1)]
-    if rest or len(plus) != 2 or len(minus) != 2:
-        raise WNotQuadrupleDerivedError(
-            f"{w} is not of the form e_a + e_b - e_c - e_d")
-    ts = lam.triples
-    try:
-        q_plus = quadruple_of(ts[plus[0]], ts[plus[1]])
-        q_minus = quadruple_of(ts[minus[0]], ts[minus[1]])
-    except (NotAlignedError, ModeError) as exc:
-        raise WNotQuadrupleDerivedError(
-            f"{w} does not join two aligned pairs") from exc
-    if q_plus != q_minus:
-        raise WNotQuadrupleDerivedError(
-            f"{w} joins pairs with different quadruples")
-    return frozenset(plus + minus)
 
 
 # ---------------------------------------------------------------------------
@@ -440,24 +445,20 @@ def branch_polynomial(spec: CrossSectionSpec, equation,
     return {e: Fraction(c) for e, c in poly.items() if c}, tsigns
 
 
-def solve_branch_fixtures(spec: CrossSectionSpec,
-                          sys: JacobiSystem) -> list[BranchSolution]:
-    """Solve the Jacobi system on every sign branch of the transversal.
+def solve_branch_fixtures(spec: CrossSectionSpec) -> list[BranchSolution]:
+    """Solve the Jacobi system of spec.lam on each GF(2) coset branch.
 
     Supported shapes: at most two parameters, each equation a product-sum of
     affine slice entries (hence total degree two).  Everything is exact;
     shapes beyond that raise UnsupportedShapeError rather than approximate.
     """
-    if sys.lam != spec.lam:
-        raise DimensionMismatchError("system indexed by another set")
     if spec.dim > 2:
         raise UnsupportedShapeError(
             f"{spec.dim} parameters exceed the supported branch-solving scale")
+    sys = jacobi_system(spec.lam)
     domain = delta_domain(spec)
-    out = []
-    for sign in spec.T:
-        out.append(_solve_one_branch(spec, sys, sign, domain))
-    return out
+    return [_solve_one_branch(spec, sys, sign, domain)
+            for sign in gf2_coset_transversal(spec.lam)]
 
 
 def _solve_one_branch(spec: CrossSectionSpec, sys: JacobiSystem,

@@ -45,9 +45,5 @@ class UnsupportedShapeError(StratumError):
     """A branch system is beyond the supported linear/quadratic fixture scale."""
 
 
-class WNotQuadrupleDerivedError(StratumError):
-    """A parametrization direction is not a w-vector of the index set."""
-
-
 class CapExceededError(StratumError):
     """A sweep request exceeds the configured enumeration caps."""

@@ -18,7 +18,7 @@ from itertools import repeat
 from typing import Sequence
 
 from . import cross_sections as cs
-from .errors import UnsupportedShapeError, WNotQuadrupleDerivedError
+from .errors import UnsupportedShapeError
 from .jacobi import format_system, jacobi_system, obstruction_status
 from .linalg import (gf2_coset_transversal, gf2_rank, gf2_root_matrix,
                      kernel_basis, root_matrix)
@@ -106,7 +106,7 @@ def build_cross_section_report(spec: cs.CrossSectionSpec,
         "exponent": str(spec.p),
         "c": str(Fraction(c)),
         "directions": [list(w) for w in spec.W],
-        "transversal": [list(t) for t in spec.T],
+        "transversal": [list(t) for t in gf2_coset_transversal(lam)],
     }
     domain = cs.delta_domain(spec)
     doc["domain"] = [q.render() for q in domain.inequalities]
@@ -115,18 +115,13 @@ def build_cross_section_report(spec: cs.CrossSectionSpec,
         jac = cs.f_jacobian(spec, zero, c)
         doc["jacobian_at_center"] = [fractions_as_strings(row) for row in jac]
         doc["dominant_at_center"] = cs.dominance_certificate(spec, zero)
-    try:
-        cert = cs.lemma58_certificate(spec)
-        doc["certificate"] = {"certified": cert.certified,
-                              "reason": cert.reason}
-    except WNotQuadrupleDerivedError as exc:
-        doc["certificate"] = {"certified": False, "reason": str(exc)}
+    cert = cs.lemma58_certificate(spec)
+    doc["certificate"] = {"certified": cert.certified, "reason": cert.reason}
     if lam.mode != "theta":
         return doc
-    sys = jacobi_system(lam)
-    doc["jacobi_system"] = format_system(sys)
+    doc["jacobi_system"] = format_system(jacobi_system(lam))
     try:
-        branches = cs.solve_branch_fixtures(spec, sys)
+        branches = cs.solve_branch_fixtures(spec)
     except UnsupportedShapeError as exc:
         doc["branches_error"] = str(exc)
         return doc
@@ -174,7 +169,7 @@ def _render(block, pad: str, lines: list[str]) -> None:
     """Append the lines of a dict or a list at indent ``pad``."""
     is_dict = isinstance(block, dict)
     head, inner = pad + "-", pad + "  "
-    append, dumps = lines.append, json.dumps
+    append = lines.append
     for value in block:  # a list's members, a dict's keys
         if is_dict:
             head, value = f"{pad}{value}:", block[value]
@@ -183,7 +178,16 @@ def _render(block, pad: str, lines: list[str]) -> None:
             append(head)
             _render(value, inner, lines)
         else:
-            append(f"{head} {dumps(value)}")
+            append(f"{head} {_literal(value)}")
+
+
+def _literal(value) -> str:
+    """json.dumps(value) for a scalar or a flat list; for an int or a list
+    of ints (a bool is none) repr gives the same bytes without an encoder."""
+    if type(value) is int or type(value) is list and \
+            all(type(x) is int for x in value):
+        return repr(value)
+    return json.dumps(value)
 
 
 def parse_text(text: str) -> dict:

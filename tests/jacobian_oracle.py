@@ -39,6 +39,23 @@ def jacobian(spec, params, c=Fraction(1)):
     return tuple(out)
 
 
+def ldl_pivots(matrix) -> list:
+    """The pivots D of the LDL^T factorization of a symmetric matrix, by
+    Fraction elimination without row exchanges; a zero pivot ends it.  All
+    are > 0 exactly when the matrix is positive definite."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for k, row in enumerate(a):
+        pivots.append(row[k])
+        if not row[k]:
+            break
+        for below in a[k + 1:]:
+            f = below[k] / row[k]
+            for j in range(k, len(row)):
+                below[j] -= f * row[j]
+    return pivots
+
+
 def dominant(jac) -> bool:
     """Strict diagonal dominance of a Fraction matrix."""
     for i, row in enumerate(jac):

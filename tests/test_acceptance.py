@@ -55,7 +55,7 @@ def test_c02_heisenberg5():
     assert root_matrix(lam) == ((1, 1, 0, 0, -1), (0, 0, 1, 1, -1))
     assert left_null_basis(root_matrix(lam)) == ()
     spec = cross_section(lam)
-    branches = solve_branch_fixtures(spec, jacobi_system(lam))
+    branches = solve_branch_fixtures(spec)
     reps = lie_points(spec, branches)
     assert [v.values for v in reps] == [(Fraction(1), Fraction(1))]
     _pass(2, "dimension-5 Heisenberg stratum")
@@ -79,7 +79,7 @@ def test_c03_one_quad_mult2():
     assert format_system(jacobi_system(lam)) == [
         "(1,2,3,7): -a[1,2,4]*a[3,4,7] + a[1,3,5]*a[2,5,7] = 0"]
     spec = cross_section(lam)
-    reps = lie_points(spec, solve_branch_fixtures(spec, jacobi_system(lam)))
+    reps = lie_points(spec, solve_branch_fixtures(spec))
     assert [v.values for v in reps] == [(1, 1, 1, 1, 1, 1)]
     _pass(3, "single multiplicity-two quadruple stratum")
 
@@ -99,7 +99,7 @@ def test_c04_one_quad_mult3():
         (Fraction(1), (Fraction(0), Fraction(1))),
         (Fraction(1), (Fraction(-1), Fraction(-1)))}
     sys_ = jacobi_system(lam)
-    branches = {b.sign: b for b in solve_branch_fixtures(spec, sys_)}
+    branches = {b.sign: b for b in solve_branch_fixtures(spec)}
     assert branches[(0, 0, 0, 0, 0, 1, 0)].status == "inconsistent"
 
     curves = {
@@ -201,7 +201,7 @@ def test_c06_two_quads_mult2():
     assert len(left_null_basis(root_matrix(lam))) == 2
     assert null_space_spanning(lam)
     spec = cross_section(lam)
-    reps = lie_points(spec, solve_branch_fixtures(spec, jacobi_system(lam)))
+    reps = lie_points(spec, solve_branch_fixtures(spec))
     assert [v.values for v in reps] == [(1,) * 8]
     _pass(6, "two multiplicity-two quadruples stratum")
 
@@ -231,7 +231,7 @@ def test_c08_oracle_equivalence():
     # points constructed on fixture curves satisfy the oracle too
     lam = parse_index_set(ONE_QUAD_MULT3)
     spec = cross_section(lam, a0=[1, 2, 1, 1, 1, 2, 1])
-    branches = solve_branch_fixtures(spec, jacobi_system(lam))
+    branches = solve_branch_fixtures(spec)
     sampled = 0
     for branch in branches:
         if branch.status != "curve":

@@ -3,17 +3,19 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liestrata import (DimensionMismatchError, OutsideDomainError,
-                       UnsupportedShapeError, WNotQuadrupleDerivedError,
+                       StructureVector, UnsupportedShapeError, apply_diagonal,
                        brute_force_jacobiator, cross_section, curve_samples,
                        delta_domain, dominance_certificate, evaluate_jacobi,
                        f_jacobian, jacobi_system, left_null_basis,
-                       lemma58_certificate, lie_points, point_at, sigma_point,
+                       lemma58_certificate, lie_points,
+                       magnitude_orbit_equivalent, point_at, sigma_point,
                        solve_branch_fixtures, structure_vector, w_vector)
 from liestrata import cross_sections, parse_index_set
 from liestrata.linalg import kernel_basis
@@ -187,8 +189,8 @@ def test_lemma_certificate_rejects_shared_positions(mult2_plus_mult3):
 def test_lemma_certificate_rejects_non_w_vectors(one_quad_mult2):
     # a kernel vector that is not of the two-plus-two-minus shape
     spec = cross_section(one_quad_mult2, W=[(2, -2, 0, 0, -2, 2)])
-    with pytest.raises(WNotQuadrupleDerivedError):
-        lemma58_certificate(spec)
+    assert lemma58_certificate(spec) == Certificate(
+        False, "(2, -2, 0, 0, -2, 2) is not of the form e_a + e_b - e_c - e_d")
 
 
 @pytest.mark.parametrize("text, W, reason", [
@@ -217,12 +219,10 @@ def test_lemma_certificate_rejects_pairs_of_different_quadruples(
     w = (1, -1, 0, 0, 0, 1, -1, 0)
     with pytest.raises(DimensionMismatchError):
         cross_section(two_quads_mult2, W=[w])
-    spec = CrossSectionSpec(two_quads_mult2, (Fraction(1),) * 8, (w,),
-                            Fraction(1), ())
-    with pytest.raises(WNotQuadrupleDerivedError, match=(
-            r"^\(1, -1, 0, 0, 0, 1, -1, 0\) joins pairs with different "
-            r"quadruples$")):
-        lemma58_certificate(spec)
+    spec = CrossSectionSpec(two_quads_mult2, (Fraction(1),) * 8, (w,))
+    assert lemma58_certificate(spec) == Certificate(
+        False, "(1, -1, 0, 0, 0, 1, -1, 0) joins pairs with different "
+        "quadruples")
 
 
 def test_directions_must_be_integer_vectors():
@@ -243,7 +243,7 @@ def test_center_must_be_positive(one_quad_mult2):
 
 def test_branch_solving_one_quad_mult2(one_quad_mult2):
     spec = cross_section(one_quad_mult2)
-    branches = solve_branch_fixtures(spec, jacobi_system(one_quad_mult2))
+    branches = solve_branch_fixtures(spec)
     by_sign = {b.sign: b for b in branches}
     zero = by_sign[(0,) * 6]
     assert zero.status == "points" and zero.points == ((fr(0),),)
@@ -255,7 +255,7 @@ def test_branch_solving_one_quad_mult2(one_quad_mult2):
 
 def test_branch_solving_two_quads(two_quads_mult2):
     spec = cross_section(two_quads_mult2)
-    branches = solve_branch_fixtures(spec, jacobi_system(two_quads_mult2))
+    branches = solve_branch_fixtures(spec)
     by_sign = {b.sign: b for b in branches}
     zero = by_sign[(0,) * 8]
     assert zero.status == "points"
@@ -280,8 +280,7 @@ def expected_curves():
 
 def test_branch_solving_one_quad_mult3(one_quad_mult3):
     spec = cross_section(one_quad_mult3, a0=[1, 2, 1, 1, 1, 2, 1])
-    sys_ = jacobi_system(one_quad_mult3)
-    branches = solve_branch_fixtures(spec, sys_)
+    branches = solve_branch_fixtures(spec)
     by_sign = {b.sign: b for b in branches}
     assert by_sign[(0, 0, 0, 0, 0, 1, 0)].status == "inconsistent"
     curves = expected_curves()
@@ -300,7 +299,7 @@ def test_branch_solving_one_quad_mult3(one_quad_mult3):
 def test_curve_samples_satisfy_system(one_quad_mult3):
     spec = cross_section(one_quad_mult3, a0=[1, 2, 1, 1, 1, 2, 1])
     sys_ = jacobi_system(one_quad_mult3)
-    branches = solve_branch_fixtures(spec, sys_)
+    branches = solve_branch_fixtures(spec)
     sampled = 0
     for branch in branches:
         if branch.status != "curve":
@@ -333,7 +332,7 @@ def test_zero_dimensional_slice(filiform4, heisenberg5):
     for lam in (filiform4, heisenberg5):
         spec = cross_section(lam)
         assert spec.dim == 0
-        branches = solve_branch_fixtures(spec, jacobi_system(lam))
+        branches = solve_branch_fixtures(spec)
         assert len(branches) == 1
         assert branches[0].status == "points"
         assert branches[0].points == ((),)
@@ -344,7 +343,7 @@ def test_zero_dimensional_slice(filiform4, heisenberg5):
 def test_unsupported_beyond_two_parameters(mult2_plus_mult3):
     spec = cross_section(mult2_plus_mult3, a0=[1, 1, 1, 1, 1, 2, 2, 1, 1])
     with pytest.raises(UnsupportedShapeError):
-        solve_branch_fixtures(spec, jacobi_system(mult2_plus_mult3))
+        solve_branch_fixtures(spec)
 
 
 def test_branch_polynomials_mult2_plus_mult3(mult2_plus_mult3):
@@ -432,7 +431,7 @@ def test_domain_keeps_the_tightest_inequality_per_direction():
     # 1 + 2s + 2t and 2 + 2s + 2t point the same way: the looser one goes
     # before any redundancy LP, which is then left with nothing to compare
     lam = IndexSet(6, tuple(enumerate_theta(6)[:2]))
-    spec = CrossSectionSpec(lam, (fr(1), fr(2)), ((2, 2), (2, 2)), fr(1), ())
+    spec = CrossSectionSpec(lam, (fr(1), fr(2)), ((2, 2), (2, 2)))
     with mock.patch.object(cross_sections, "_implied",
                            wraps=cross_sections._implied) as spy:
         dom = delta_domain(spec)
@@ -441,7 +440,7 @@ def test_domain_keeps_the_tightest_inequality_per_direction():
     # 1/2 + s + t is 1 + 2s + 2t scaled: one inequality at both positions
     lam = IndexSet(6, tuple(enumerate_theta(6)[:3]))
     spec = CrossSectionSpec(lam, (fr(2), fr(1), fr(1, 2)),
-                            ((2, 2, 1), (2, 2, 1)), fr(1), ())
+                            ((2, 2, 1), (2, 2, 1)))
     assert delta_domain(spec).inequalities == (
         LinearInequality(1, (2, 2), (2, 3)),)
 
@@ -458,7 +457,7 @@ def random_domain_spec(rng: random.Random) -> CrossSectionSpec:
     a0 = tuple(Fraction(rng.randint(1, 4), rng.randint(1, 2))
                for _ in range(m))
     W = tuple(tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(d))
-    return CrossSectionSpec(lam, a0, W, Fraction(1), ())
+    return CrossSectionSpec(lam, a0, W)
 
 
 def domains_by_lp_and(oracle, spec):
@@ -508,7 +507,7 @@ def high_dim_domain_spec(rng: random.Random) -> CrossSectionSpec:
         a0.append(center)
     lam = IndexSet(7, tuple(enumerate_theta(7)[:m]))
     W = tuple(tuple(col[i] for col in cols) for i in range(d))
-    return CrossSectionSpec(lam, tuple(a0), W, Fraction(1), ())
+    return CrossSectionSpec(lam, tuple(a0), W)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -571,6 +570,54 @@ def test_integer_slice_and_jacobian_match_fraction_oracle(seed, c):
         jacobian_oracle.dominant(jacobian_oracle.jacobian(spec, params))
 
 
+def kernel_slices(rng: random.Random, dims, count: int) -> list:
+    """count cross sections of random index sets (n <= 8) whose kernel
+    dimension lies in dims, each at a random positive center."""
+    out = []
+    while len(out) < count:
+        lam = random_index_set(rng, size_max=16)
+        if len(kernel_basis(lam)) in dims:
+            a0 = [Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                  for _ in lam.triples]
+            out.append(cross_section(lam, a0=a0))
+    return out
+
+
+def test_jacobian_is_a_positive_definite_gram_matrix():
+    # the injectivity proof's second form: f_jacobian is W diag(1/a) W^T,
+    # positive definite for every basis W of the kernel, dominant or not
+    rng = random.Random(26)
+    dims, undominated = set(), 0
+    for spec in kernel_slices(rng, range(1, 8), 150):
+        params = params_inside(rng, spec)
+        jac = f_jacobian(spec, params)
+        assert jac == jacobian_oracle.jacobian(spec, params)
+        assert all(p > 0 for p in jacobian_oracle.ldl_pivots(jac))
+        dims.add(spec.dim)
+        undominated += not dominance_certificate(spec, params)
+    assert dims == set(range(1, 8)) and undominated >= 50
+
+
+def test_no_two_slice_points_share_a_d_orbit():
+    # injectivity by brute force: grid points of the positive slice, d <= 2
+    rng = random.Random(27)
+    grid = [Fraction(k, 3) for k in range(-4, 5)]
+    pairs = 0
+    for spec in kernel_slices(rng, (1, 2), 24):
+        domain = delta_domain(spec)
+        points = [StructureVector(spec.lam, point_at(spec, t))
+                  for t in product(grid, repeat=spec.dim)
+                  if domain.contains(t)]
+        for a, b in combinations(points, 2):
+            assert not magnitude_orbit_equivalent(a, b)
+            pairs += 1
+        # the test itself tells equivalent points apart
+        g = [random_rational(rng, 3) for _ in range(spec.lam.n)]
+        assert magnitude_orbit_equivalent(points[0],
+                                          apply_diagonal(g, points[0]))
+    assert pairs >= 5000
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_vertical_line_interval_matches_fourier_motzkin(seed):
@@ -624,7 +671,7 @@ def test_branch_solver_random_strata_against_oracle():
             continue
         sys_ = jacobi_system(lam)
         try:
-            branches = solve_branch_fixtures(spec, sys_)
+            branches = solve_branch_fixtures(spec)
         except UnsupportedShapeError:
             continue
         solved += 1
@@ -676,7 +723,7 @@ def solve_recording(monkeypatch, spec):
             calls.append((_name, frame.f_code.co_name, result))
             return result
         monkeypatch.setattr(owner, name, recorded)
-    return solve_branch_fixtures(spec, jacobi_system(spec.lam)), calls
+    return solve_branch_fixtures(spec), calls
 
 
 def lie_points_by_sign(spec, branches):
@@ -764,7 +811,7 @@ def test_roots_outside_the_domain_leave_a_branch_inconsistent():
     spec = cross_section(
         lam, a0=[1, fr(3, 2), fr(3, 2), 1, 4, 2, 3, 2, fr(2, 3)],
         W=[(0, 0, -2, 2, 0, 2, -2, 0, 0)])
-    branches = solve_branch_fixtures(spec, jacobi_system(lam))
+    branches = solve_branch_fixtures(spec)
     notes = [b.note for b in branches if b.status == "inconsistent"]
     assert notes.count("no admissible roots") == 4
     found = lie_points_by_sign(spec, branches)
@@ -773,7 +820,7 @@ def test_roots_outside_the_domain_leave_a_branch_inconsistent():
 
 def test_zero_dimensional_slice_off_the_variety(one_quad_mult2):
     spec = cross_section(one_quad_mult2, a0=[1, 2, 1, 1, 1, 1], W=[])
-    branches = solve_branch_fixtures(spec, jacobi_system(one_quad_mult2))
+    branches = solve_branch_fixtures(spec)
     assert [(b.status, b.note) for b in branches] == [
         ("inconsistent", "nonzero constant residual"),
         ("inconsistent", "all terms share one sign")]

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liestrata import (CapExceededError, IndexOutOfRangeError,
-                       MalformedInputError, StructureVector, enumerate_theta,
-                       gf2_coset_transversal, parse_index_set)
-from liestrata import cli, linalg, sweep, triples
+                       MalformedInputError, StructureVector, cross_section,
+                       delta_domain, enumerate_theta, gf2_coset_transversal,
+                       gf2_rank, parse_index_set)
+from liestrata import cli, errors, linalg, sweep, triples
 from liestrata.sweep import pool_size
 
 from conftest import (FILIFORM4, MULT2_PLUS_MULT3, ONE_QUAD_MULT2,
@@ -144,6 +145,30 @@ def test_a_program_fault_is_not_an_input_error(monkeypatch):
         monkeypatch.setattr(cli, "build_analysis_report", broken)
         with pytest.raises(exc):
             run_main(["analyze", "-"], FILIFORM4)
+
+
+# The exit code of each liestrata error: 3 for a violated precondition, 2
+# for an input error.  A new error class needs its own entry.
+EXIT_CODES = {
+    errors.IndexOutOfRangeError: 2, errors.OrderViolationError: 2,
+    errors.DuplicateTripleError: 2, errors.ModeError: 3,
+    errors.MalformedInputError: 2, errors.DimensionMismatchError: 2,
+    errors.NotAlignedError: 2, errors.UnknownQuadrupleError: 2,
+    errors.OutsideDomainError: 3, errors.UnsupportedShapeError: 3,
+    errors.CapExceededError: 3,
+}
+
+
+def test_each_error_class_keeps_its_exit_code(monkeypatch):
+    assert set(errors.StratumError.__subclasses__()) == set(EXIT_CODES)
+    assert set(cli.PRECONDITION_ERRORS) == {
+        exc for exc, code in EXIT_CODES.items() if code == 3}
+    for exc, code in EXIT_CODES.items():
+        def refuse(*args, exc=exc, **kwargs):
+            raise exc("refused")
+        monkeypatch.setattr(cli, "build_analysis_report", refuse)
+        assert run_main(["analyze", "-"], FILIFORM4) == \
+            (code, "", "error: refused\n"), exc
 
 
 NAMES = st.sampled_from(["a", "b", "c", "n", "mode", "x1", "mu_2"])
@@ -286,6 +311,19 @@ def test_transversal_cap_stops_a_huge_analysis():
     assert "2^23" in err
     rc, _, _ = run_main(["cross-section", "-"], text)
     assert rc == 3
+
+
+def test_a_slice_past_the_transversal_cap_is_still_a_slice():
+    # every third triple of Theta_9: 28 triples and 2^19 cosets, one past
+    # the cap; the spec holds no transversal, so only the reports refuse
+    lam = triples.IndexSet(9, tuple(enumerate_theta(9)[::3]))
+    spec = cross_section(lam)
+    assert spec.dim == 19 and len(lam) - gf2_rank(lam) == 19
+    assert len(delta_domain(spec).inequalities) == 28
+    text = "n=9; " + " ".join(map(str, lam.triples))
+    for argv in (["analyze", "--cross-section", "-"], ["cross-section", "-"]):
+        rc, out, err = run_main(argv, text)
+        assert (rc, out) == (3, "") and "2^19" in err
 
 
 def test_sweep_ceiling_is_checked_before_the_pair_table(monkeypatch):
