@@ -17,9 +17,8 @@ from .errors import (CapExceededError, DimensionMismatchError,
                      MalformedInputError, ModeError, NotAlignedError,
                      OrderViolationError, OutsideDomainError, StratumError,
                      UnknownQuadrupleError, UnsupportedShapeError)
-from .jacobi import (JacobiEquation, JacobiSystem, brute_force_jacobiator,
-                     evaluate_jacobi, format_system, is_lie, jacobi_system,
-                     obstruction_status)
+from .jacobi import (brute_force_jacobiator, evaluate_jacobi, format_system,
+                     is_lie, jacobi_system, obstruction_status)
 from .linalg import (gf2_column_space_contains, gf2_coset_transversal,
                      gf2_rank, gf2_root_matrix, left_null_basis, rank,
                      root_matrix, root_vector, span_equals)

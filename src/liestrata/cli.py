@@ -123,15 +123,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    from .jacobi import format_system, jacobi_system, obstruction_status
+    from .jacobi import format_system, obstruction_status
 
     lam, _ = load_input(args.input)
-    sys_ = jacobi_system(lam)
     doc = {
         "schema": "jacobi-report/1",
         **index_set_document(lam),
         "obstruction": obstruction_status(lam),
-        "equations": format_system(sys_),
+        "equations": format_system(lam),
     }
     _emit(doc, args.format)
     return 0

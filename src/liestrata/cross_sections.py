@@ -30,12 +30,12 @@ from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatchError, ModeError, NotAlignedError,
                      OutsideDomainError, UnsupportedShapeError)
-from .jacobi import JacobiSystem, is_lie, jacobi_system
+from .jacobi import is_lie, jacobi_system
 from .linalg import (IntVector, _pivot, gf2_coset_transversal, kernel_basis,
                      primitive, root_matrix, span_equals, transpose)
 from .poly import (Poly, add_univar, degree_in, eval_univar, evaluate,
                    format_sum, mul_univar, rational_roots, univariate_in)
-from .quadruples import quadruple_of
+from .quadruples import AlignedPair, quadruple_of
 from .triples import IndexSet, StructureVector, memo
 
 
@@ -272,7 +272,7 @@ def display_value(value: Fraction, p: Fraction) -> str:
 
 def center_is_lie(spec: CrossSectionSpec) -> bool:
     """Whether the center point satisfies the Jacobi system exactly."""
-    return is_lie(jacobi_system(spec.lam), StructureVector(spec.lam, spec.a0))
+    return is_lie(StructureVector(spec.lam, spec.a0))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +418,7 @@ class BranchSolution:
     note: str = ""
 
 
-def branch_polynomial(spec: CrossSectionSpec, equation,
+def branch_polynomial(spec: CrossSectionSpec, pairs: Sequence[AlignedPair],
                       sign: Sequence[int]) -> tuple[Poly, list[int]]:
     """Substitute the masked slice into one equation; also return term signs.
 
@@ -435,11 +435,11 @@ def branch_polynomial(spec: CrossSectionSpec, equation,
 
     poly: dict = {}
     tsigns = []
-    for esign, p, r in equation.terms:
-        tau = esign * (-1 if sign[p] else 1) * (-1 if sign[r] else 1)
+    for ap in pairs:
+        tau = ap.sign * (-1 if sign[ap.p] else 1) * (-1 if sign[ap.r] else 1)
         tsigns.append(tau)
-        for e1, c1 in affine(p):
-            for e2, c2 in affine(r):
+        for e1, c1 in affine(ap.p):
+            for e2, c2 in affine(ap.r):
                 e = tuple(map(add, e1, e2))
                 poly[e] = poly.get(e, 0) + tau * c1 * c2
     return {e: Fraction(c) for e, c in poly.items() if c}, tsigns
@@ -455,20 +455,18 @@ def solve_branch_fixtures(spec: CrossSectionSpec) -> list[BranchSolution]:
     if spec.dim > 2:
         raise UnsupportedShapeError(
             f"{spec.dim} parameters exceed the supported branch-solving scale")
-    sys = jacobi_system(spec.lam)
     domain = delta_domain(spec)
-    return [_solve_one_branch(spec, sys, sign, domain)
+    return [_solve_one_branch(spec, sign, domain)
             for sign in gf2_coset_transversal(spec.lam)]
 
 
-def _solve_one_branch(spec: CrossSectionSpec, sys: JacobiSystem,
-                      sign: Sequence[int],
+def _solve_one_branch(spec: CrossSectionSpec, sign: Sequence[int],
                       domain: PolytopeDomain) -> BranchSolution:
     d = spec.dim
     sign = tuple(sign)
     polys = []
-    for eq in sys.equations:
-        poly, tsigns = branch_polynomial(spec, eq, sign)
+    for pairs in jacobi_system(spec.lam).values():
+        poly, tsigns = branch_polynomial(spec, pairs, sign)
         if tsigns and len(set(tsigns)) == 1:
             return BranchSolution(sign, INCONSISTENT,
                                   note="all terms share one sign")

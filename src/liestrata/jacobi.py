@@ -1,7 +1,9 @@
 """The quadratic Jacobi system of a stratum and its brute-force oracle.
 
-The system has one equation per quadruple, each term a signed product of the
-two structure constants of an aligned pair producing that quadruple.  The
+The system is the quadruple table itself: ``jacobi_system(lam)`` returns its
+shared, read-only map from each quadruple, in sorted order, to the aligned
+pairs producing it, and each pair (p, r, sign) is the term sign * a[p] * a[r]
+of that quadruple's equation.  The functions below read it from Λ.  The
 oracle expands the full skew-symmetric bracket instead and checks that every
 Jacobiator [[x,y],z] + [[y,z],x] + [[z,x],y] vanishes; it never looks at
 quadruples or signs, so the two routes stay independent.
@@ -9,7 +11,6 @@ quadruples or signs, so the two routes stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,49 +18,25 @@ from .errors import DimensionMismatchError
 from .poly import format_sum
 # the obstruction statuses are re-exported from here
 from .quadruples import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
-                         OBSTRUCTION_NONTRIVIAL, Quadruple, quadruple_table,
-                         stratum_status)
+                         OBSTRUCTION_NONTRIVIAL, AlignedPair, Quadruple,
+                         quadruple_table, stratum_status)
 from .triples import IndexSet, StructureVector
 
 
-@dataclass(frozen=True)
-class JacobiEquation:
-    """Sum over terms (sign, p, r) of sign * a[p] * a[r], equated to zero."""
-
-    quadruple: Quadruple
-    terms: tuple[tuple[int, int, int], ...]
-
-
-@dataclass(frozen=True)
-class JacobiSystem:
-    lam: IndexSet
-    equations: tuple[JacobiEquation, ...]
-
-    def __len__(self) -> int:
-        return len(self.equations)
-
-
-def jacobi_system(lam: IndexSet) -> JacobiSystem:
+def jacobi_system(lam: IndexSet) -> dict[Quadruple, tuple[AlignedPair, ...]]:
     """One signed bilinear equation per quadruple, terms ordered by (p, r)."""
-    table = quadruple_table(lam)
-    equations = []
-    for q in table.quadruples:
-        terms = tuple((ap.sign, ap.p, ap.r) for ap in table.pairs[q])
-        equations.append(JacobiEquation(q, terms))
-    return JacobiSystem(lam, tuple(equations))
+    return quadruple_table(lam).pairs
 
 
-def evaluate_jacobi(sys: JacobiSystem, a: StructureVector) -> tuple[Fraction, ...]:
+def evaluate_jacobi(a: StructureVector) -> tuple[Fraction, ...]:
     """Exact residual of each equation at the structure vector a."""
-    if a.lam != sys.lam:
-        raise DimensionMismatchError("structure vector indexed by another set")
-    return tuple(sum((sign * a[p] * a[r] for sign, p, r in eq.terms),
+    return tuple(sum((ap.sign * a[ap.p] * a[ap.r] for ap in pairs),
                      Fraction(0))
-                 for eq in sys.equations)
+                 for pairs in jacobi_system(a.lam).values())
 
 
-def is_lie(sys: JacobiSystem, a: StructureVector) -> bool:
-    return all(res == 0 for res in evaluate_jacobi(sys, a))
+def is_lie(a: StructureVector) -> bool:
+    return all(res == 0 for res in evaluate_jacobi(a))
 
 
 def obstruction_status(lam: IndexSet) -> str:
@@ -68,19 +45,15 @@ def obstruction_status(lam: IndexSet) -> str:
     return stratum_status(mults)[0]
 
 
-def format_equation(eq: JacobiEquation, lam: IndexSet) -> str:
+def format_system(lam: IndexSet) -> list[str]:
     """Render like ``(1,2,3,7): -a[1,2,4]*a[3,4,7] + a[1,3,5]*a[2,5,7] = 0``."""
-    terms = []
-    for sign, p, r in eq.terms:
-        tp, tr = lam.triples[p], lam.triples[r]
-        terms.append(
-            (sign, f"a[{tp.i},{tp.j},{tp.k}]*a[{tr.i},{tr.j},{tr.k}]"))
-    q = eq.quadruple
-    return f"({q[0]},{q[1]},{q[2]},{q[3]}): {format_sum(terms)} = 0"
+    def product(ap: AlignedPair) -> str:
+        tp, tr = lam.triples[ap.p], lam.triples[ap.r]
+        return f"a[{tp.i},{tp.j},{tp.k}]*a[{tr.i},{tr.j},{tr.k}]"
 
-
-def format_system(sys: JacobiSystem) -> list[str]:
-    return [format_equation(eq, sys.lam) for eq in sys.equations]
+    return [f"({q[0]},{q[1]},{q[2]},{q[3]}): "
+            f"{format_sum((ap.sign, product(ap)) for ap in pairs)} = 0"
+            for q, pairs in jacobi_system(lam).items()]
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,9 @@ class AlignedPair:
 class QuadrupleTable:
     """Aligned pairs of an index set grouped by their quadruple.
 
-    Each quadruple's pairs are in (p, r) order, the order they are built in.
+    ``pairs`` is the Jacobi system: one equation per quadruple, in sorted
+    order, whose terms are its pairs in (p, r) order, each term the pair's
+    sign times the product of the two structure constants.
     """
 
     triples: tuple[Triple, ...]  # not the set, which memoizes the table
@@ -172,7 +174,7 @@ class QuadrupleTable:
 
     @property
     def quadruples(self) -> tuple[Quadruple, ...]:
-        return tuple(sorted(self.pairs))
+        return tuple(self.pairs)
 
     def multiplicity(self, q: Quadruple) -> int:
         if q not in self.pairs:
@@ -180,7 +182,7 @@ class QuadrupleTable:
         return len(self.pairs[q])
 
     def multiplicities(self) -> dict[Quadruple, int]:
-        return {q: len(self.pairs[q]) for q in self.quadruples}
+        return {q: len(pairs) for q, pairs in self.pairs.items()}
 
     def participants(self, q: Quadruple) -> set[int]:
         """Positions of triples occurring in some pair of quadruple q."""
@@ -205,7 +207,7 @@ def quadruple_table(lam: IndexSet) -> QuadrupleTable:
                 continue
             quad, sign = info
             grouped.setdefault(quad, []).append(AlignedPair(p, r, sign))
-    return QuadrupleTable(ts, {q: tuple(v) for q, v in grouped.items()})
+    return QuadrupleTable(ts, {q: tuple(grouped[q]) for q in sorted(grouped)})
 
 
 def common_triples(q1: Quadruple, q2: Quadruple,
@@ -232,10 +234,9 @@ def lambda_subspace_vectors(lam: IndexSet) -> list[IntVector]:
     quadruple contributes one vector, oriented with the earlier pair
     positive.
     """
-    table = quadruple_table(lam)
     return [w_vector(x.p, x.r, y.p, y.r, len(lam))
-            for q in table.quadruples
-            for x, y in combinations(table.pairs[q], 2)]
+            for pairs in quadruple_table(lam).pairs.values()
+            for x, y in combinations(pairs, 2)]
 
 
 def lambda_subspace(lam: IndexSet) -> tuple[IntVector, ...]:

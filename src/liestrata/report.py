@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import cross_sections as cs
 from .errors import UnsupportedShapeError
-from .jacobi import format_system, jacobi_system, obstruction_status
+from .jacobi import format_system, obstruction_status
 from .linalg import (gf2_coset_transversal, gf2_rank, gf2_root_matrix,
                      kernel_basis, root_matrix)
 from .orbits import (ISOMORPHISM_CAVEAT, VERDICTS,
@@ -71,7 +71,7 @@ def build_analysis_report(lam: IndexSet,
         doc["null_space_spanning"] = null_space_spanning(lam)
         doc["obstruction"] = obstruction_status(lam)
         doc["classification"] = classify(lam)
-        doc["jacobi_system"] = format_system(jacobi_system(lam))
+        doc["jacobi_system"] = format_system(lam)
         if with_cross_section:
             sub = build_cross_section_report(cs.cross_section(lam))
             sub.pop("schema")
@@ -119,7 +119,7 @@ def build_cross_section_report(spec: cs.CrossSectionSpec,
     doc["certificate"] = {"certified": cert.certified, "reason": cert.reason}
     if lam.mode != "theta":
         return doc
-    doc["jacobi_system"] = format_system(jacobi_system(lam))
+    doc["jacobi_system"] = format_system(lam)
     try:
         branches = cs.solve_branch_fixtures(spec)
     except UnsupportedShapeError as exc:

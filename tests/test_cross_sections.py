@@ -298,7 +298,6 @@ def test_branch_solving_one_quad_mult3(one_quad_mult3):
 
 def test_curve_samples_satisfy_system(one_quad_mult3):
     spec = cross_section(one_quad_mult3, a0=[1, 2, 1, 1, 1, 2, 1])
-    sys_ = jacobi_system(one_quad_mult3)
     branches = solve_branch_fixtures(spec)
     sampled = 0
     for branch in branches:
@@ -306,7 +305,7 @@ def test_curve_samples_satisfy_system(one_quad_mult3):
             continue
         for params, vec in curve_samples(spec, branch, count=20):
             sampled += 1
-            assert evaluate_jacobi(sys_, vec) == (fr(0),)
+            assert evaluate_jacobi(vec) == (fr(0),)
     assert sampled >= 40
     # off-curve points have nonzero residual
     dom = delta_domain(spec)
@@ -325,7 +324,7 @@ def test_curve_samples_satisfy_system(one_quad_mult3):
             continue
         misses += 1
         vec = sigma_point(spec, (0,) * 7, params)
-        assert evaluate_jacobi(sys_, vec) != (fr(0),)
+        assert evaluate_jacobi(vec) != (fr(0),)
 
 
 def test_zero_dimensional_slice(filiform4, heisenberg5):
@@ -349,10 +348,10 @@ def test_unsupported_beyond_two_parameters(mult2_plus_mult3):
 def test_branch_polynomials_mult2_plus_mult3(mult2_plus_mult3):
     spec = cross_section(mult2_plus_mult3, a0=[1, 1, 1, 1, 1, 2, 2, 1, 1],
                          W=paper_w_basis_mult2_plus_mult3())
-    sys_ = jacobi_system(mult2_plus_mult3)
+    equations = list(jacobi_system(mult2_plus_mult3).values())
     zero = (0,) * 9
-    p1, _ = branch_polynomial(spec, sys_.equations[0], zero)
-    p2, _ = branch_polynomial(spec, sys_.equations[1], zero)
+    p1, _ = branch_polynomial(spec, equations[0], zero)
+    p2, _ = branch_polynomial(spec, equations[1], zero)
     # 6s - u + su and -2t^2 - 2ut - s + 5u - su, each up to overall sign
     want1 = {(1, 0, 0): fr(6), (0, 0, 1): fr(-1), (1, 0, 1): fr(1)}
     want2 = {(0, 2, 0): fr(-2), (0, 1, 1): fr(-2), (1, 0, 0): fr(-1),
@@ -368,13 +367,13 @@ FIXTURES = (conftest.FILIFORM4, conftest.HEISENBERG5, conftest.ONE_QUAD_MULT2,
             conftest.DIM7)
 
 
-def masked_slice_residual(spec, equation, sign, t):
-    """Sum of esign * y_p * y_r at y = the sign-masked x = a0 + sum t_i W_i,
-    computed entry by entry with no polynomial."""
+def masked_slice_residual(spec, pairs, sign, t):
+    """Sum of sign * y_p * y_r over the aligned pairs at y = the sign-masked
+    x = a0 + sum t_i W_i, computed entry by entry with no polynomial."""
     x = [a + sum(ti * w[k] for ti, w in zip(t, spec.W))
          for k, a in enumerate(spec.a0)]
     y = [-v if bit else v for v, bit in zip(x, sign)]
-    return sum(esign * y[p] * y[r] for esign, p, r in equation.terms)
+    return sum(ap.sign * y[ap.p] * y[ap.r] for ap in pairs)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -385,22 +384,22 @@ def test_branch_polynomial_matches_direct_substitution(seed):
         lam = parse_index_set(rng.choice(FIXTURES))
     else:
         lam = random_index_set(rng, n_max=7, size_max=9)
-        while len(kernel_basis(lam)) > 3 or not jacobi_system(lam).equations:
+        while len(kernel_basis(lam)) > 3 or not jacobi_system(lam):
             lam = random_index_set(rng, n_max=7, size_max=9)
     center = [Fraction(rng.randint(1, 9), rng.randint(1, 5))
               for _ in lam.triples]
     spec = cross_section(lam, a0=center)
-    for eq in jacobi_system(lam).equations:
+    for pairs in jacobi_system(lam).values():
         for _ in range(3):
             sign = tuple(rng.randint(0, 1) for _ in lam.triples)
-            poly, _ = branch_polynomial(spec, eq, sign)
+            poly, _ = branch_polynomial(spec, pairs, sign)
             assert all(len(e) == spec.dim for e in poly)
             assert all(type(c) is Fraction and c != 0 for c in poly.values())
             for _ in range(2):
                 t = [random_rational(rng) for _ in range(spec.dim)]
                 value = sum(c * math.prod(ti ** k for ti, k in zip(t, e))
                             for e, c in poly.items())
-                assert value == masked_slice_residual(spec, eq, sign, t)
+                assert value == masked_slice_residual(spec, pairs, sign, t)
 
 
 def test_boundedness_kernel_orthogonal_to_ones():
@@ -669,7 +668,6 @@ def test_branch_solver_random_strata_against_oracle():
         spec = cross_section(lam)
         if spec.dim > 2:
             continue
-        sys_ = jacobi_system(lam)
         try:
             branches = solve_branch_fixtures(spec)
         except UnsupportedShapeError:
@@ -697,7 +695,7 @@ def test_branch_solver_random_strata_against_oracle():
                               for _ in range(spec.dim)]
                     if dom.contains(params):
                         vec = sigma_point(spec, branch.sign, params)
-                        assert not is_lie(sys_, vec)
+                        assert not is_lie(vec)
     assert solved >= 60
 
 

@@ -231,6 +231,13 @@ def test_isomorphic_reads_json_and_text_alike():
         run_main(["isomorphic", "-"], text)
 
 
+@pytest.mark.parametrize("vectors", ["\na: 1, 1", "", "\nb: 1, 1"],
+                         ids=["a only", "no vector", "b only"])
+def test_isomorphic_needs_both_vectors(vectors):
+    assert run_main(["isomorphic", "-"], FILIFORM4 + vectors) == (
+        2, "", "error: isomorphic needs two labelled vectors 'a:' and 'b:'\n")
+
+
 def test_a_vector_may_be_named_mode():
     lam = parse_index_set(FILIFORM4)
     by_text = load_stdin(FILIFORM4 + "\nmode: 1, -1/2")

@@ -28,6 +28,30 @@ def test_rational_roots_refuses_coefficients_above_the_cap(coeffs):
         rational_roots([Fraction(c) for c in coeffs])
 
 
+# Ascending coefficients, and the roots or the refusal once the rational
+# roots are deflated: a quadratic left over with no real roots is fine, any
+# other residual factor is refused rather than approximated.
+@pytest.mark.parametrize("coeffs, result", [
+    pytest.param([1, 0, 1], [], id="x^2 + 1"),
+    pytest.param([-1, 1, -1, 1], [1], id="(x - 1)(x^2 + 1)"),
+    pytest.param([-2, 0, 1], "irrational real roots beyond fixture scale",
+                 id="x^2 - 2"),
+    pytest.param([-2, 0, 0, 1], "residual degree 3 factor beyond fixture scale",
+                 id="x^3 - 2"),
+    pytest.param([1, 0, 2, 0, 1],
+                 "residual degree 4 factor beyond fixture scale",
+                 id="(x^2 + 1)^2"),
+])
+def test_rational_roots_residual_factors(coeffs, result):
+    coeffs = [Fraction(c) for c in coeffs]
+    if isinstance(result, list):
+        assert rational_roots(coeffs) == result
+    else:
+        with pytest.raises(UnsupportedShapeError) as exc:
+            rational_roots(coeffs)
+        assert str(exc.value) == result
+
+
 def test_format_sum_drops_zeros_and_unit_coefficients():
     assert format_sum([(0, "s"), (1, "t"), (-1, "u")]) == "t - u"
     assert format_sum([(2, ""), (Fraction(-3, 2), "s")]) == "2 - 3/2*s"
