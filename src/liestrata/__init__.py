@@ -16,7 +16,7 @@ from .errors import (CapExceededError, DimensionMismatchError,
                      DuplicateTripleError, IndexOutOfRangeError,
                      MalformedInputError, ModeError, NotAlignedError,
                      OrderViolationError, OutsideDomainError, StratumError,
-                     UnknownQuadrupleError, UnsupportedShapeError)
+                     UnsupportedShapeError)
 from .jacobi import (brute_force_jacobiator, evaluate_jacobi, format_system,
                      is_lie, jacobi_system, obstruction_status)
 from .linalg import (gf2_column_space_contains, gf2_coset_transversal,
@@ -25,10 +25,10 @@ from .linalg import (gf2_column_space_contains, gf2_coset_transversal,
 from .orbits import (ISOMORPHISM_CAVEAT, apply_diagonal, d_orbit_equivalent,
                      magnitude_orbit_equivalent, orbit_verdict,
                      sign_orbit_equivalent)
-from .quadruples import (AlignedPair, QuadrupleTable, aligned, classify,
-                         common_triples, lambda_subspace,
-                         lambda_subspace_vectors, null_space_spanning,
-                         pair_sign, quadruple_of, quadruple_table, w_vector)
+from .quadruples import (AlignedPair, aligned, classify, common_triples,
+                         lambda_subspace, lambda_subspace_vectors,
+                         null_space_spanning, pair_sign, quadruple_of,
+                         quadruple_table, w_vector)
 from .sweep import StratumSummary, sweep_strata
 from .triples import (IndexSet, StructureVector, THETA, Triple, UPSILON,
                       enumerate_theta, parse_index_set, sign_vector,

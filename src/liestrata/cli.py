@@ -20,9 +20,7 @@ from . import cross_sections as cs
 from .errors import (CapExceededError, DimensionMismatchError,
                      MalformedInputError, ModeError, OutsideDomainError,
                      StratumError, UnsupportedShapeError)
-from .jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
-                     OBSTRUCTION_NONTRIVIAL)
-from .quadruples import CLASSIFICATIONS
+from .quadruples import CLASSIFICATIONS, OBSTRUCTIONS
 from .report import (build_analysis_report, build_cross_section_report,
                      build_isomorphism_report, render_text, SWEEP_SCHEMA)
 from .sweep import sweep_counts, sweep_strata
@@ -34,8 +32,7 @@ PRECONDITION_ERRORS = (ModeError, CapExceededError, OutsideDomainError,
 # every other StratumError is an input error
 INPUT_ERRORS = (StratumError, json.JSONDecodeError, OSError)
 
-OBSTRUCTION_FILTERS = (OBSTRUCTION_EMPTY, OBSTRUCTION_AUTOMATIC,
-                       OBSTRUCTION_NONTRIVIAL)
+OBSTRUCTION_FILTERS = OBSTRUCTIONS
 # "empty" is both; as a filter it names the obstruction status
 CLASSIFICATION_FILTERS = tuple(c for c in CLASSIFICATIONS
                                if c not in OBSTRUCTION_FILTERS)

@@ -33,10 +33,6 @@ class NotAlignedError(StratumError):
     """The two triples do not form an aligned pair."""
 
 
-class UnknownQuadrupleError(StratumError):
-    """A quadruple is not present in the quadruple table."""
-
-
 class OutsideDomainError(StratumError):
     """Parameters leave the positivity domain of a cross section."""
 

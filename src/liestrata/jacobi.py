@@ -1,12 +1,13 @@
 """The quadratic Jacobi system of a stratum and its brute-force oracle.
 
-The system is the quadruple table itself: ``jacobi_system(lam)`` returns its
-shared, read-only map from each quadruple, in sorted order, to the aligned
-pairs producing it, and each pair (p, r, sign) is the term sign * a[p] * a[r]
-of that quadruple's equation.  The functions below read it from Λ.  The
-oracle expands the full skew-symmetric bracket instead and checks that every
-Jacobiator [[x,y],z] + [[y,z],x] + [[z,x],y] vanishes; it never looks at
-quadruples or signs, so the two routes stay independent.
+The system is the quadruple table: ``jacobi_system(lam)`` returns
+``quadruple_table(lam)``, the shared, read-only dict from each quadruple, in
+sorted order, to the aligned pairs producing it, and each pair (p, r, sign)
+is the term sign * a[p] * a[r] of that quadruple's equation.  The functions
+below read it from Λ.  The oracle expands the full skew-symmetric bracket
+instead and checks that every Jacobiator [[x,y],z] + [[y,z],x] + [[z,x],y]
+vanishes; it never looks at quadruples or signs, so the two routes stay
+independent.
 """
 
 from __future__ import annotations
@@ -16,16 +17,14 @@ from itertools import combinations
 
 from .errors import DimensionMismatchError
 from .poly import format_sum
-# the obstruction statuses are re-exported from here
-from .quadruples import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
-                         OBSTRUCTION_NONTRIVIAL, AlignedPair, Quadruple,
-                         quadruple_table, stratum_status)
+from .quadruples import (AlignedPair, Quadruple, quadruple_table,
+                         stratum_status)
 from .triples import IndexSet, StructureVector
 
 
 def jacobi_system(lam: IndexSet) -> dict[Quadruple, tuple[AlignedPair, ...]]:
     """One signed bilinear equation per quadruple, terms ordered by (p, r)."""
-    return quadruple_table(lam).pairs
+    return quadruple_table(lam)
 
 
 def evaluate_jacobi(a: StructureVector) -> tuple[Fraction, ...]:
@@ -41,8 +40,8 @@ def is_lie(a: StructureVector) -> bool:
 
 def obstruction_status(lam: IndexSet) -> str:
     """empty if some quadruple has multiplicity 1, automatic if none exist."""
-    mults = quadruple_table(lam).multiplicities().values()
-    return stratum_status(mults)[0]
+    return stratum_status([len(pairs)
+                           for pairs in quadruple_table(lam).values()])[0]
 
 
 def format_system(lam: IndexSet) -> list[str]:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Collection
 
-from .errors import ModeError, NotAlignedError, UnknownQuadrupleError
+from .errors import ModeError, NotAlignedError
 from .linalg import (IntVector, gf2_rank, gf2_reduce, primitive_span_basis,
                      rank, root_matrix)
 from .triples import IndexSet, Triple, memo
@@ -38,6 +38,9 @@ CLASSIFICATIONS = (EMPTY, UNOBSTRUCTED, FINITE_1Q2, FINITE_2Q2_DISJOINT,
 OBSTRUCTION_EMPTY = "empty"
 OBSTRUCTION_AUTOMATIC = "automatic"
 OBSTRUCTION_NONTRIVIAL = "nontrivial"
+
+OBSTRUCTIONS = (OBSTRUCTION_EMPTY, OBSTRUCTION_AUTOMATIC,
+                OBSTRUCTION_NONTRIVIAL)
 
 # The labels classify can give a nontrivial stratum, by sorted multiplicity
 # pattern; every other pattern is unclassified, and so is a stratum whose
@@ -160,43 +163,15 @@ class AlignedPair:
     sign: int
 
 
-@dataclass(frozen=True)
-class QuadrupleTable:
-    """Aligned pairs of an index set grouped by their quadruple.
-
-    ``pairs`` is the Jacobi system: one equation per quadruple, in sorted
-    order, whose terms are its pairs in (p, r) order, each term the pair's
-    sign times the product of the two structure constants.
-    """
-
-    triples: tuple[Triple, ...]  # not the set, which memoizes the table
-    pairs: dict[Quadruple, tuple[AlignedPair, ...]]
-
-    @property
-    def quadruples(self) -> tuple[Quadruple, ...]:
-        return tuple(self.pairs)
-
-    def multiplicity(self, q: Quadruple) -> int:
-        if q not in self.pairs:
-            raise UnknownQuadrupleError(f"quadruple {q} not in table")
-        return len(self.pairs[q])
-
-    def multiplicities(self) -> dict[Quadruple, int]:
-        return {q: len(pairs) for q, pairs in self.pairs.items()}
-
-    def participants(self, q: Quadruple) -> set[int]:
-        """Positions of triples occurring in some pair of quadruple q."""
-        if q not in self.pairs:
-            raise UnknownQuadrupleError(f"quadruple {q} not in table")
-        return {pos for pair in self.pairs[q] for pos in (pair.p, pair.r)}
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 @memo
-def quadruple_table(lam: IndexSet) -> QuadrupleTable:
-    """All aligned pairs of lam by quadruple, with signs; shared, read-only."""
+def quadruple_table(lam: IndexSet) -> dict[Quadruple, tuple[AlignedPair, ...]]:
+    """Aligned pairs of lam by quadruple, in sorted order; shared, read-only.
+
+    This map is the Jacobi system: one equation per quadruple, whose terms
+    are its pairs in (p, r) order, each the pair's sign times the product
+    of the two structure constants.  A quadruple's multiplicity is its
+    number of pairs.
+    """
     lam.require_theta("quadruple table")
     grouped: dict[Quadruple, list[AlignedPair]] = {}
     ts = lam.triples
@@ -207,14 +182,19 @@ def quadruple_table(lam: IndexSet) -> QuadrupleTable:
                 continue
             quad, sign = info
             grouped.setdefault(quad, []).append(AlignedPair(p, r, sign))
-    return QuadrupleTable(ts, {q: tuple(grouped[q]) for q in sorted(grouped)})
+    return {q: tuple(grouped[q]) for q in sorted(grouped)}
 
 
-def common_triples(q1: Quadruple, q2: Quadruple,
-                   table: QuadrupleTable) -> list[Triple]:
-    """Triples participating in an aligned pair of both quadruples."""
-    shared = table.participants(q1) & table.participants(q2)
-    return [table.triples[pos] for pos in sorted(shared)]
+def common_triples(lam: IndexSet, q1: Quadruple,
+                   q2: Quadruple) -> list[Triple]:
+    """Triples of lam in an aligned pair of both quadruples.
+
+    A quadruple absent from the table has no pairs, so it shares no triple.
+    """
+    table = quadruple_table(lam)
+    s1, s2 = ({pos for ap in table.get(q, ()) for pos in (ap.p, ap.r)}
+              for q in (q1, q2))
+    return [lam.triples[pos] for pos in sorted(s1 & s2)]
 
 
 def w_vector(m1: int, m2: int, m3: int, m4: int, length: int) -> IntVector:
@@ -235,7 +215,7 @@ def lambda_subspace_vectors(lam: IndexSet) -> list[IntVector]:
     positive.
     """
     return [w_vector(x.p, x.r, y.p, y.r, len(lam))
-            for pairs in quadruple_table(lam).pairs.values()
+            for pairs in quadruple_table(lam).values()
             for x, y in combinations(pairs, 2)]
 
 
@@ -261,7 +241,7 @@ def null_space_spanning(lam: IndexSet) -> bool:
     """
     lam.require_theta("null-space-spanning test")
     words = ((1 << x.p) ^ (1 << x.r) ^ (1 << y.p) ^ (1 << y.r)
-             for pairs in quadruple_table(lam).pairs.values()
+             for pairs in quadruple_table(lam).values()
              for x, y in combinations(pairs, 2))
     if len(gf2_reduce(words)[1]) == len(lam) - gf2_rank(lam):
         return True
@@ -279,12 +259,12 @@ def classify(lam: IndexSet) -> str:
     """
     lam.require_theta("classification")
     table = quadruple_table(lam)
-    _, labels = stratum_status(table.multiplicities().values())
+    _, labels = stratum_status([len(pairs) for pairs in table.values()])
     if len(labels) == 1:
         return labels[0]
     if not null_space_spanning(lam):
         return UNCLASSIFIED
     if len(table) == 1:
         return labels[0]
-    q1, q2 = table.quadruples
-    return labels[min(len(common_triples(q1, q2, table)), 2)]
+    q1, q2 = table
+    return labels[min(len(common_triples(lam, q1, q2)), 2)]

@@ -52,32 +52,25 @@ def build_analysis_report(lam: IndexSet,
         "transversal": [list(t) for t in gf2_coset_transversal(lam)],
     }
     if lam.mode == "theta":
-        table = quadruple_table(lam)
-        quads = []
-        for q in table.quadruples:
-            pairs = []
-            for ap in table.pairs[q]:
-                pairs.append({
-                    "positions": [ap.p + 1, ap.r + 1],
-                    "sign": ap.sign,
-                    "triples": [list(lam.triples[ap.p]),
-                                list(lam.triples[ap.r])],
-                })
-            quads.append({"quadruple": list(q),
-                          "multiplicity": table.multiplicity(q),
-                          "pairs": pairs})
-        doc["quadruples"] = quads
+        doc["quadruples"] = [
+            {"quadruple": list(q),
+             "multiplicity": len(pairs),
+             "pairs": [{"positions": [ap.p + 1, ap.r + 1],
+                        "sign": ap.sign,
+                        "triples": [list(lam.triples[ap.p]),
+                                    list(lam.triples[ap.r])]}
+                       for ap in pairs]}
+            for q, pairs in quadruple_table(lam).items()]
         doc["lambda_subspace"] = [list(w) for w in lambda_subspace(lam)]
         doc["null_space_spanning"] = null_space_spanning(lam)
         doc["obstruction"] = obstruction_status(lam)
         doc["classification"] = classify(lam)
         doc["jacobi_system"] = format_system(lam)
-        if with_cross_section:
-            sub = build_cross_section_report(cs.cross_section(lam))
-            sub.pop("schema")
-            for key in ("n", "mode", "triples"):
-                sub.pop(key)
-            doc["cross_section"] = sub
+    if with_cross_section:
+        sub = build_cross_section_report(cs.cross_section(lam))
+        for key in ("schema", "n", "mode", "triples"):
+            sub.pop(key)
+        doc["cross_section"] = sub
     return doc
 
 

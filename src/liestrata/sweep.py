@@ -44,9 +44,8 @@ from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError, MalformedInputError
-from .quadruples import (CLASSIFICATIONS, OBSTRUCTION_AUTOMATIC,
-                         OBSTRUCTION_EMPTY, OBSTRUCTION_NONTRIVIAL, classify,
-                         stratum_status, _pair_info)
+from .quadruples import (CLASSIFICATIONS, OBSTRUCTION_EMPTY, OBSTRUCTIONS,
+                         classify, stratum_status, _pair_info)
 from .triples import IndexSet, THETA, Triple, enumerate_theta
 
 # No cap lifts n above this.  The pair table grows with the square of
@@ -273,8 +272,7 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
             raise MalformedInputError(f"{name}={value} is below {least}")
     if size is not None and max_size is not None:
         raise MalformedInputError("size and max_size exclude each other")
-    if obstruction not in (None, OBSTRUCTION_EMPTY, OBSTRUCTION_AUTOMATIC,
-                           OBSTRUCTION_NONTRIVIAL):
+    if obstruction not in (None, *OBSTRUCTIONS):
         raise MalformedInputError(f"unknown obstruction {obstruction!r}")
     if classification not in (None, *CLASSIFICATIONS):
         raise MalformedInputError(

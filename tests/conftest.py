@@ -8,8 +8,8 @@ import time
 
 import pytest
 
-from liestrata import enumerate_theta, parse_index_set, structure_vector, \
-    validate_index_set
+from liestrata import enumerate_theta, parse_index_set, quadruple_table, \
+    structure_vector, validate_index_set
 
 # Filiform algebra in dimension 4: two triples, no aligned pairs.
 FILIFORM4 = "n=4; (1,2,3) (1,3,4)"
@@ -74,6 +74,11 @@ def random_index_set(rng: random.Random, n_max: int = 8, size_max: int = 10):
     theta = enumerate_theta(n)
     size = rng.randint(0, min(size_max, len(theta)))
     return validate_index_set(rng.sample(theta, size), n)
+
+
+def multiplicities(lam) -> dict:
+    """Each quadruple of lam's table with its number of aligned pairs."""
+    return {q: len(pairs) for q, pairs in quadruple_table(lam).items()}
 
 
 def random_rational(rng: random.Random, bound: int = 9) -> Fraction:

@@ -10,10 +10,10 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from liestrata.jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
-                              OBSTRUCTION_NONTRIVIAL)
-from liestrata.quadruples import (EMPTY, UNCLASSIFIED, UNOBSTRUCTED,
-                                  _pair_info, classify)
+from liestrata.quadruples import (EMPTY, OBSTRUCTION_AUTOMATIC,
+                                  OBSTRUCTION_EMPTY, OBSTRUCTION_NONTRIVIAL,
+                                  UNCLASSIFIED, UNOBSTRUCTED, _pair_info,
+                                  classify)
 from liestrata.sweep import StratumSummary
 from liestrata.triples import IndexSet, THETA, enumerate_theta
 

@@ -26,8 +26,8 @@ from liestrata.linalg import transpose
 
 from conftest import (FILIFORM4, HEISENBERG5, MULT2_PLUS_MULT3,
                       ONE_QUAD_MULT2, ONE_QUAD_MULT3, ONE_QUAD_NON_SPANNING,
-                      TWO_QUADS_MULT2, random_index_set, random_nonzero_diag,
-                      random_structure_vector)
+                      TWO_QUADS_MULT2, multiplicities, random_index_set,
+                      random_nonzero_diag, random_structure_vector)
 from jacobian_oracle import f_value
 
 
@@ -71,10 +71,9 @@ def test_c03_one_quad_mult2():
     for want in ((0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)):
         assert any(gf2_column_space_contains(
             lam, tuple(x ^ y for x, y in zip(want, got))) for got in trans)
-    table = quadruple_table(lam)
-    assert table.multiplicities() == {(1, 2, 3, 7): 2}
+    assert multiplicities(lam) == {(1, 2, 3, 7): 2}
     signs = {tuple(sorted((tuple(lam.triples[ap.p]), tuple(lam.triples[ap.r])))):
-             ap.sign for ap in table.pairs[(1, 2, 3, 7)]}
+             ap.sign for ap in quadruple_table(lam)[(1, 2, 3, 7)]}
     assert signs == {((1, 2, 4), (3, 4, 7)): -1, ((1, 3, 5), (2, 5, 7)): 1}
     assert format_system(lam) == [
         "(1,2,3,7): -a[1,2,4]*a[3,4,7] + a[1,3,5]*a[2,5,7] = 0"]
@@ -90,7 +89,7 @@ def test_c04_one_quad_mult3():
     assert q_rank(y) == 5
     assert span_equals(left_null_basis(y), [(0, 1, 0, -1, -1, 1, 0),
                                             (1, 0, 0, -1, -1, 0, 1)])
-    assert quadruple_table(lam).multiplicities() == {(1, 2, 3, 7): 3}
+    assert multiplicities(lam) == {(1, 2, 3, 7): 3}
     assert classify(lam) == "onedim-1q3"
     spec = cross_section(lam, a0=[1, 2, 1, 1, 1, 2, 1])
     dom = delta_domain(spec)
@@ -145,10 +144,9 @@ def test_c04_one_quad_mult3():
 def test_c05_mult2_plus_mult3():
     lam = parse_index_set(MULT2_PLUS_MULT3)
     assert len(left_null_basis(root_matrix(lam))) == 3
-    table = quadruple_table(lam)
-    assert table.multiplicities() == {(1, 2, 3, 6): 2, (1, 2, 4, 7): 3}
+    assert multiplicities(lam) == {(1, 2, 3, 6): 2, (1, 2, 4, 7): 3}
     signs = {(ap.p + 1, ap.r + 1): ap.sign
-             for q in table.quadruples for ap in table.pairs[q]}
+             for pairs in quadruple_table(lam).values() for ap in pairs}
     assert signs == {(2, 7): 1, (4, 6): -1,
                      (1, 9): 1, (3, 8): 1, (5, 7): -1}
     # linear dependency of the four pair-combination vectors: the three
@@ -195,8 +193,7 @@ def test_c05_mult2_plus_mult3():
 
 def test_c06_two_quads_mult2():
     lam = parse_index_set(TWO_QUADS_MULT2)
-    table = quadruple_table(lam)
-    assert table.multiplicities() == {(1, 2, 3, 7): 2, (1, 2, 4, 8): 2}
+    assert multiplicities(lam) == {(1, 2, 3, 7): 2, (1, 2, 4, 8): 2}
     assert len(left_null_basis(root_matrix(lam))) == 2
     assert null_space_spanning(lam)
     spec = cross_section(lam)
@@ -207,10 +204,9 @@ def test_c06_two_quads_mult2():
 
 def test_c07_non_spanning():
     lam = parse_index_set(ONE_QUAD_NON_SPANNING)
-    table = quadruple_table(lam)
-    assert table.multiplicities() == {(1, 2, 4, 8): 2}
+    assert multiplicities(lam) == {(1, 2, 4, 8): 2}
     pairs = {tuple(sorted((tuple(lam.triples[ap.p]), tuple(lam.triples[ap.r]))))
-             for ap in table.pairs[(1, 2, 4, 8)]}
+             for ap in quadruple_table(lam)[(1, 2, 4, 8)]}
     assert pairs == {((1, 4, 6), (2, 6, 8)), ((1, 7, 8), (2, 4, 7))}
     assert len(lambda_subspace(lam)) == 1
     assert len(left_null_basis(root_matrix(lam))) == 2

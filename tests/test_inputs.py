@@ -153,8 +153,7 @@ EXIT_CODES = {
     errors.IndexOutOfRangeError: 2, errors.OrderViolationError: 2,
     errors.DuplicateTripleError: 2, errors.ModeError: 3,
     errors.MalformedInputError: 2, errors.DimensionMismatchError: 2,
-    errors.NotAlignedError: 2, errors.UnknownQuadrupleError: 2,
-    errors.OutsideDomainError: 3, errors.UnsupportedShapeError: 3,
+    errors.NotAlignedError: 2, errors.OutsideDomainError: 3, errors.UnsupportedShapeError: 3,
     errors.CapExceededError: 3,
 }
 

@@ -8,7 +8,7 @@ from liestrata import (aligned, brute_force_jacobiator, evaluate_jacobi,
                        structure_vector, validate_index_set)
 from liestrata.jacobi import _Bracket
 
-from conftest import random_index_set, random_structure_vector
+from conftest import multiplicities, random_index_set, random_structure_vector
 
 
 def jacobiator_coordinate(lam, a, q):
@@ -66,16 +66,17 @@ def test_system_is_the_sorted_quadruple_table():
     lam = validate_index_set([(1, 2, 3), (1, 2, 4), (3, 4, 5)], 5)
     assert walk_order(lam) == [(1, 2, 4, 5), (1, 2, 3, 5)]
     table = quadruple_table(lam)
-    assert list(table.pairs) == [(1, 2, 3, 5), (1, 2, 4, 5)]
-    assert table.quadruples == ((1, 2, 3, 5), (1, 2, 4, 5))
-    assert jacobi_system(lam) is table.pairs
+    assert type(table) is dict
+    assert list(table) == [(1, 2, 3, 5), (1, 2, 4, 5)]
+    assert tuple(table) == ((1, 2, 3, 5), (1, 2, 4, 5))
+    assert jacobi_system(lam) is table
     assert format_system(lam) == ["(1,2,3,5): -a[1,2,4]*a[3,4,5] = 0",
                                   "(1,2,4,5): a[1,2,3]*a[3,4,5] = 0"]
     rng = random.Random(34)
     out_of_walk_order = 0
     for _ in range(300):
         lam = random_index_set(rng)
-        pairs = quadruple_table(lam).pairs
+        pairs = quadruple_table(lam)
         walk = walk_order(lam)
         out_of_walk_order += walk != sorted(walk)
         assert list(pairs) == sorted(walk)
@@ -86,10 +87,10 @@ def test_system_is_the_sorted_quadruple_table():
 
 
 def test_equation_term_counts_match_multiplicities(mult2_plus_mult3):
-    table = quadruple_table(mult2_plus_mult3)
+    mults = multiplicities(mult2_plus_mult3)
     sys_ = jacobi_system(mult2_plus_mult3)
     for q, pairs in sys_.items():
-        assert len(pairs) == table.multiplicity(q)
+        assert len(pairs) == mults[q]
 
 
 def test_evaluate_all_ones_two_quads(two_quads_mult2):
@@ -127,8 +128,7 @@ def find_single_mult_one_set():
     for combo in combinations(enumerate_theta(6), 3):
         lam = validate_index_set(combo, 6)
         table = quadruple_table(lam)
-        if len(table.pairs) == 1 and \
-                list(table.multiplicities().values()) == [1]:
+        if len(table) == 1 and list(multiplicities(lam).values()) == [1]:
             return lam
     raise AssertionError("no candidate found")
 

@@ -5,19 +5,24 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liestrata import (ModeError, NotAlignedError, Triple,
-                       UnknownQuadrupleError, aligned, classify,
-                       common_triples, lambda_subspace,
+from liestrata import (ModeError, NotAlignedError, Triple, aligned,
+                       classify, common_triples, lambda_subspace,
                        lambda_subspace_vectors, left_null_basis,
                        null_space_spanning, pair_sign, quadruple_of,
                        quadruple_table, root_matrix, w_vector)
-from liestrata import sweep
+from liestrata import enumerate_theta, parse_index_set, sweep
 from liestrata.linalg import root_vector, transpose
-from liestrata.quadruples import root_dot
-from liestrata.triples import IndexSet
+from liestrata.quadruples import (EMPTY, FINITE_1Q2, FINITE_2Q2_DISJOINT,
+                                  ONEDIM_1Q3, ONEDIM_1Q3_1Q2_SHARED,
+                                  ONEDIM_2Q2_SHARED, UNCLASSIFIED,
+                                  UNOBSTRUCTED, root_dot)
+from liestrata.triples import IndexSet, THETA
 
 import gf2_oracle
-from conftest import random_index_set
+from classify_oracle import oracle_label, strata_with_two_quadruples
+from conftest import (DIM7, FILIFORM4, HEISENBERG5, MULT2_PLUS_MULT3,
+                      ONE_QUAD_MULT2, ONE_QUAD_MULT3, ONE_QUAD_NON_SPANNING,
+                      TWO_QUADS_MULT2, multiplicities, random_index_set)
 from rref_oracle import rref
 
 
@@ -66,16 +71,15 @@ def test_pair_functions_symmetric():
 
 
 def test_quadruple_table_fixtures(mult2_plus_mult3, filiform4, one_quad_mult3):
-    table = quadruple_table(mult2_plus_mult3)
-    assert table.multiplicities() == {(1, 2, 3, 6): 2, (1, 2, 4, 7): 3}
-    assert not quadruple_table(filiform4).pairs
-    assert quadruple_table(one_quad_mult3).multiplicities() == {(1, 2, 3, 7): 3}
+    assert multiplicities(mult2_plus_mult3) == {(1, 2, 3, 6): 2, (1, 2, 4, 7): 3}
+    assert not quadruple_table(filiform4)
+    assert multiplicities(one_quad_mult3) == {(1, 2, 3, 7): 3}
 
 
 def test_quadruple_table_pair_signs(mult2_plus_mult3):
-    table = quadruple_table(mult2_plus_mult3)
     got = {(ap.p + 1, ap.r + 1): ap.sign
-           for q in table.quadruples for ap in table.pairs[q]}
+           for pairs in quadruple_table(mult2_plus_mult3).values()
+           for ap in pairs}
     assert got == {(2, 7): 1, (4, 6): -1,
                    (1, 9): 1, (3, 8): 1, (5, 7): -1}
 
@@ -88,25 +92,23 @@ def test_quadruple_table_requires_theta():
 
 
 def test_common_triples(two_quads_mult2, mult2_plus_mult3):
-    table = quadruple_table(two_quads_mult2)
-    shared = common_triples((1, 2, 3, 7), (1, 2, 4, 8), table)
+    shared = common_triples(two_quads_mult2, (1, 2, 3, 7), (1, 2, 4, 8))
     assert shared == [Triple(2, 4, 7)]
-    table2 = quadruple_table(mult2_plus_mult3)
+    lam2 = mult2_plus_mult3
     # brute force over the five pairs: only (2,4,6) participates for both
     participant_sets = {}
-    for q in table2.quadruples:
-        participant_sets[q] = {mult2_plus_mult3.triples[pos]
-                               for ap in table2.pairs[q]
-                               for pos in (ap.p, ap.r)}
+    for q, pairs in quadruple_table(lam2).items():
+        participant_sets[q] = {lam2.triples[pos]
+                               for ap in pairs for pos in (ap.p, ap.r)}
     expected = sorted(participant_sets[(1, 2, 3, 6)]
                       & participant_sets[(1, 2, 4, 7)])
-    assert common_triples((1, 2, 3, 6), (1, 2, 4, 7), table2) == expected
+    assert common_triples(lam2, (1, 2, 3, 6), (1, 2, 4, 7)) == expected
     assert expected == [Triple(2, 4, 6)]
     # degenerate case: a quadruple shares every participant with itself
-    got = common_triples((1, 2, 3, 6), (1, 2, 3, 6), table2)
+    got = common_triples(lam2, (1, 2, 3, 6), (1, 2, 3, 6))
     assert set(got) == participant_sets[(1, 2, 3, 6)]
-    with pytest.raises(UnknownQuadrupleError):
-        common_triples((1, 2, 3, 4), (1, 2, 3, 6), table2)
+    # a quadruple absent from the table has no pairs, so shares no triple
+    assert common_triples(lam2, (1, 2, 3, 4), (1, 2, 3, 6)) == []
 
 
 def test_w_vector_identities():
@@ -212,9 +214,8 @@ def test_aligned_pair_root_sum_random():
     seen = 0
     while seen < 200:
         lam = random_index_set(rng)
-        table = quadruple_table(lam)
-        for q in table.quadruples:
-            for ap in table.pairs[q]:
+        for q, pairs in quadruple_table(lam).items():
+            for ap in pairs:
                 seen += 1
                 total = aligned_pair_root_sum(lam, ap)
                 expect = [0] * lam.n
@@ -228,7 +229,6 @@ def test_aligned_pair_root_sum_random():
 def test_unreachable_patterns_never_occur():
     # the shared index r cannot sit first in one triple while exceeding the
     # partner's entries: scan every aligned pair in a whole dimension
-    from liestrata import enumerate_theta
     for t1, t2 in combinations(enumerate_theta(7), 2):
         if root_dot(t1, t2) != -1:
             continue
@@ -244,10 +244,9 @@ def test_unreachable_patterns_never_occur():
 def test_pair_sign_matches_case_table(seed):
     rng = random.Random(seed)
     lam = random_index_set(rng, n_max=8, size_max=8)
-    table = quadruple_table(lam)
-    for q in table.quadruples:
+    for q, pairs in quadruple_table(lam).items():
         q1, q2, q3, q4 = q
-        for ap in table.pairs[q]:
+        for ap in pairs:
             pair = {lam.triples[ap.p], lam.triples[ap.r]}
             shared = set(lam.triples[ap.p]) & set(lam.triples[ap.r])
             r = shared.pop()
@@ -261,3 +260,42 @@ def test_pair_sign_matches_case_table(seed):
                 assert ap.sign == -1
             else:
                 raise AssertionError(f"unexpected pattern {pair} for {q}")
+
+
+def test_classify_matches_the_root_vector_oracle_up_to_n5():
+    labels = Counter()
+    for n in range(3, 6):
+        theta = enumerate_theta(n)
+        for k in range(len(theta) + 1):
+            for combo in combinations(theta, k):
+                lam = IndexSet(n, combo, THETA)
+                label = classify(lam)
+                assert label == oracle_label(lam), lam
+                labels[label] += 1
+    assert labels[FINITE_1Q2] >= 47
+    assert labels[ONEDIM_1Q3] >= 4
+    assert labels[UNCLASSIFIED] >= 45
+    assert labels[EMPTY] >= 1 and labels[UNOBSTRUCTED] >= 1
+
+
+def test_classify_matches_the_root_vector_oracle_on_two_quadruples():
+    # every n = 6 stratum of at most 8 triples with two quadruples of
+    # multiplicity two or more; some are non-spanning, some share 2 triples
+    labels = Counter()
+    for lam in strata_with_two_quadruples(6, 8):
+        label = classify(lam)
+        assert label == oracle_label(lam), lam
+        labels[label] += 1
+    assert labels == {UNCLASSIFIED: 585, ONEDIM_2Q2_SHARED: 152,
+                      FINITE_2Q2_DISJOINT: 2}
+
+
+def test_classify_matches_the_root_vector_oracle_on_fixtures():
+    labels = set()
+    for text in (FILIFORM4, HEISENBERG5, ONE_QUAD_MULT2, ONE_QUAD_MULT3,
+                 MULT2_PLUS_MULT3, TWO_QUADS_MULT2, ONE_QUAD_NON_SPANNING,
+                 DIM7):
+        lam = parse_index_set(text)
+        assert classify(lam) == oracle_label(lam), text
+        labels.add(classify(lam))
+    assert ONEDIM_1Q3_1Q2_SHARED in labels and UNCLASSIFIED in labels

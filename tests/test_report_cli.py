@@ -157,6 +157,24 @@ def test_analysis_with_cross_section_section(one_quad_mult2):
     assert parse_text(render_text(doc)) == doc
 
 
+@pytest.mark.parametrize("text", [
+    "n=4; mode=upsilon; (1,2,3) (1,3,2) (2,3,4) (1,4,1)", ONE_QUAD_MULT3])
+def test_analyze_cross_section_is_the_cross_section_report(text):
+    # the section appended by analyze is the cross-section command's report
+    # less its header, in either mode
+    rc, out, err = run(["analyze", "--cross-section", "-",
+                        "--format", "structured"], text)
+    assert (rc, err) == (0, "")
+    section = json.loads(out)["cross_section"]
+    rc, out, err = run(["cross-section", "-", "--format", "structured"], text)
+    assert (rc, err) == (0, "")
+    alone = json.loads(out)
+    for key in ("schema", "n", "mode", "triples"):
+        alone.pop(key)
+    assert section == alone
+    assert "certificate" in section
+
+
 def test_load_input_with_vectors(tmp_path):
     path = tmp_path / "iso.txt"
     path.write_text(FILIFORM4 + "\na: 1, 1\nb: -7/3, 22\n")

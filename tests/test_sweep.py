@@ -17,9 +17,8 @@ from liestrata import (classify, obstruction_status, parse_index_set,
 from liestrata import cli
 from liestrata.cli import main
 from liestrata.errors import CapExceededError
-from liestrata.jacobi import (OBSTRUCTION_AUTOMATIC, OBSTRUCTION_EMPTY,
-                              OBSTRUCTION_NONTRIVIAL)
-from liestrata.quadruples import (CLASSIFICATIONS, _PATTERN_LABELS,
+from liestrata.quadruples import (CLASSIFICATIONS, OBSTRUCTION_NONTRIVIAL,
+                                  OBSTRUCTIONS, _PATTERN_LABELS,
                                   _UNCLASSIFIED, stratum_status)
 from liestrata import sweep
 from liestrata.report import SWEEP_SCHEMA
@@ -31,8 +30,6 @@ from conftest import (MULT2_PLUS_MULT3, ONE_QUAD_MULT2, ONE_QUAD_MULT3,
                       random_index_set)
 from sweep_oracle import census, keep
 
-OBSTRUCTIONS = (OBSTRUCTION_EMPTY, OBSTRUCTION_AUTOMATIC,
-                OBSTRUCTION_NONTRIVIAL)
 FILTERS = ([(None, None)] + [(o, None) for o in OBSTRUCTIONS]
            + [(None, c) for c in CLASSIFICATIONS])
 # every size for n <= 5, sizes 0-3 for n = 6
@@ -247,7 +244,7 @@ def test_leaf_status_matches_the_quadruple_table(monkeypatch, n, sizes):
     assert len(seen) == sum(comb(len(theta), k) for k in sizes)
     for indices, status in seen:
         lam = IndexSet(n, tuple(theta[i] for i in indices), THETA)
-        mults = quadruple_table(lam).multiplicities().values()
+        mults = [len(pairs) for pairs in quadruple_table(lam).values()]
         assert status == stratum_status(mults), indices
 
 
@@ -285,7 +282,7 @@ def test_pattern_labels_contain_every_classify_verdict():
     for lam in sets:
         if obstruction_status(lam) != OBSTRUCTION_NONTRIVIAL:
             continue
-        pattern = tuple(sorted(quadruple_table(lam).multiplicities().values()))
+        pattern = tuple(sorted(map(len, quadruple_table(lam).values())))
         label = classify(lam)
         assert label in _PATTERN_LABELS.get(pattern, _UNCLASSIFIED)
         seen.add(label)
