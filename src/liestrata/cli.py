@@ -256,7 +256,7 @@ def cmd_sweep(args) -> int:
     with one call and feeds every item to sweep_counts.  The structured
     document is written piece by piece with the exact bytes
     ``json.dumps(doc, indent=2)`` would give, so memory stays bounded by a
-    task however many strata the sweep emits.
+    task and the bounded task list however many strata the sweep emits.
     """
     obstruction = classification = None
     if args.filter:
@@ -269,7 +269,7 @@ def cmd_sweep(args) -> int:
             raise MalformedInputError(f"unknown filter {args.filter!r}")
     structured = args.format == "structured"
     stream = sweep_strata(
-        args.n, max_size=args.max_size, size=args.size, cap=args.cap,
+        args.n, max_size=args.max_size, size=args.size,
         obstruction=obstruction, classification=classification,
         discard_obstructed=args.discard_obstructed,
         workers=args.workers,
@@ -343,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--size", type=int, default=None, help="exact size")
     p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--cap", type=int, default=8)
     p.add_argument("--filter", default=None,
                    help="obstruction status or classification label")
     p.add_argument("--discard-obstructed", action="store_true")

@@ -32,7 +32,7 @@ from .errors import (DimensionMismatchError, ModeError, NotAlignedError,
                      OutsideDomainError, UnsupportedShapeError)
 from .jacobi import is_lie, jacobi_system
 from .linalg import (IntVector, _pivot, gf2_coset_transversal, kernel_basis,
-                     primitive, root_matrix, span_equals, transpose)
+                     primitive, rank, root_matrix, span_equals, transpose)
 from .poly import (Poly, add_univar, degree_in, eval_univar, evaluate,
                    format_sum, mul_univar, rational_roots, univariate_in)
 from .quadruples import AlignedPair, quadruple_of
@@ -80,6 +80,8 @@ def cross_section(lam: IndexSet, a0: Sequence | None = None,
                 raise DimensionMismatchError("direction length mismatch")
             if any(sum(row[k] * w[k] for k in range(m)) != 0 for row in yt):
                 raise DimensionMismatchError("direction not in Null(Y^T)")
+        if rank(dirs) < len(dirs):
+            raise DimensionMismatchError("directions must be independent")
     p = Fraction(p)
     if p == 0:
         raise OutsideDomainError("exponent must be nonzero")

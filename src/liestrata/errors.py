@@ -42,4 +42,4 @@ class UnsupportedShapeError(StratumError):
 
 
 class CapExceededError(StratumError):
-    """A sweep request exceeds the configured enumeration caps."""
+    """A request exceeds one of the fixed enumeration bounds."""

@@ -18,7 +18,7 @@ from itertools import repeat
 from typing import Sequence
 
 from . import cross_sections as cs
-from .errors import UnsupportedShapeError
+from .errors import OutsideDomainError, UnsupportedShapeError
 from .jacobi import format_system, obstruction_status
 from .linalg import (gf2_coset_transversal, gf2_rank, gf2_root_matrix,
                      kernel_basis, root_matrix)
@@ -91,6 +91,8 @@ def build_isomorphism_report(a: StructureVector, b: StructureVector) -> dict:
 
 def build_cross_section_report(spec: cs.CrossSectionSpec,
                                c=Fraction(1)) -> dict:
+    if Fraction(c) == 0:
+        raise OutsideDomainError("scale constant c must be nonzero")
     lam = spec.lam
     doc: dict = {
         "schema": CROSS_SECTION_SCHEMA,

@@ -48,10 +48,13 @@ from .quadruples import (CLASSIFICATIONS, OBSTRUCTION_EMPTY, OBSTRUCTIONS,
                          classify, stratum_status, _pair_info)
 from .triples import IndexSet, THETA, Triple, enumerate_theta
 
-# No cap lifts n above this.  The pair table grows with the square of
+# No sweep has n above this.  The pair table grows with the square of
 # C(n, 3): building it took 0.41 s and 36 MB peak RSS at n = 16, 1.7 s and
 # 90 MB at n = 20, 5.4 s and 258 MB at n = 24 (Python 3.11, 2 vCPUs).
 MAX_N = 16
+# No sweep visits more strata than this, the least power of two above the
+# 32 468 436 of n = 8 at size 6, the largest sweep the tests list.
+MAX_STRATA = 1 << 25
 # No task holds more strata than this.  census sweeps at n = 7, size 4
 # have (size, first) blocks of up to 5 984 leaves, which stay whole; at
 # n = 6 a block has up to 92 378.
@@ -115,15 +118,6 @@ def _summarize(args, theta: list[Triple], combo: list[int], last: int | None,
             if want_label is not None and classification != want_label:
                 return None
     return indices, obstruction, classification
-
-
-def _check_caps(n: int, max_size, size, cap: int) -> None:
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds the cap {cap}")
-    if n > MAX_N:
-        raise CapExceededError(f"n={n} exceeds the ceiling {MAX_N} on --cap")
-    if n >= 7 and max_size is None and size is None:
-        raise CapExceededError(f"n={n} needs --size or --max-size")
 
 
 def _block(args, prefix: tuple[int, ...], run: range | None,
@@ -240,7 +234,7 @@ def _split(m: int, k: int, prefix: tuple[int, ...]) -> list[tuple]:
 
 
 def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
-                 cap: int = 8, obstruction: str | None = None,
+                 obstruction: str | None = None,
                  classification: str | None = None,
                  discard_obstructed: bool = False, workers: int = 1,
                  render: Callable[[list, int], list] | None = None
@@ -255,11 +249,11 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
     workers are forked, so they inherit it, but its items and any
     exception a task raises must pickle, since they cross a pipe.
 
-    The call itself checks its arguments, builds the pair table and lists
-    the tasks, so a refused sweep (MalformedInputError for workers < 1, a
-    negative size, size with max_size, or an obstruction or classification
-    that is not one of quadruples' statuses or labels; CapExceededError
-    for a cap)
+    The call itself checks its arguments, counts the strata, builds the
+    pair table and lists the tasks, so a refused sweep (MalformedInputError
+    for workers < 1, a negative size, size with max_size, or an unknown
+    obstruction or classification; IndexOutOfRangeError for n < 1;
+    CapExceededError for n above MAX_N or more than MAX_STRATA strata)
     raises before its caller has written anything.  The returned
     generator then walks the tasks, each of at most LEAF_BOUND strata,
     serially or in at most ``workers`` forked processes (see pool_size),
@@ -277,14 +271,17 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
     if classification not in (None, *CLASSIFICATIONS):
         raise MalformedInputError(
             f"unknown classification {classification!r}")
-    _check_caps(n, max_size, size, cap)
-    theta, _ = _pair_cache(n)
+    if n > MAX_N:
+        raise CapExceededError(f"n={n} exceeds the ceiling {MAX_N}")
+    m = len(enumerate_theta(n))
+    top = m if max_size is None else min(max_size, m)
+    sizes = range(top + 1) if size is None else range(size, min(size, m) + 1)
+    count = sum(comb(m, k) for k in sizes)
+    if count > MAX_STRATA:
+        raise CapExceededError(f"{count} strata exceed the bound {MAX_STRATA}")
+    _pair_cache(n)  # here, so that forked workers share it
     want_cls = n <= 6 or classification is not None
-    m, tasks = len(theta), []
-    if size is None:
-        sizes = range((m if max_size is None else min(max_size, m)) + 1)
-    else:
-        sizes = [size] if size <= m else []
+    tasks = []
     for k in sizes:
         args = (n, k, obstruction, classification, discard_obstructed,
                 want_cls)

@@ -136,3 +136,28 @@ def test_census_classify_decides_every_stratum_mod_2(monkeypatch):
     assert len(emitted) == 2782
     assert tracer.counters["quadruples.classify"] == 2782
     assert tracer.counters["linalg.rank"] == 0
+
+
+def census_specs() -> dict:
+    """perfbench/run.py's CENSUS, read as a literal: the script is neither
+    imported nor written."""
+    path = PERFBENCH / "run.py"
+    for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "CENSUS"
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py assigns no CENSUS")
+
+
+def test_census_calls_parse_and_stay_within_the_strata_bound():
+    # a removed or renamed option would otherwise fail only in the benchmark
+    specs = census_specs()
+    assert specs
+    for name, spec in specs.items():
+        args = cli.build_parser().parse_args(spec["argv"])
+        assert args.func is cli.cmd_sweep, name
+        m = comb(args.n, 3)
+        top = m if args.max_size is None else min(args.max_size, m)
+        sizes = [args.size] if args.size is not None else range(top + 1)
+        assert sum(comb(m, k) for k in sizes) <= sweep.MAX_STRATA, name

@@ -234,6 +234,19 @@ def test_directions_must_be_integer_vectors():
         cross_section(lam, W=[[Fraction(x, 2) for x in w]])
 
 
+@pytest.mark.parametrize("name", ["ONE_QUAD_MULT2", "TWO_QUADS_MULT2",
+                                  "ONE_QUAD_MULT3"])
+def test_directions_must_be_independent(name):
+    # w twice spans a line, not a plane: solving the branches on it turned
+    # the one Lie point of the first two sets into a curve with none
+    lam = parse_index_set(getattr(conftest, name))
+    w = kernel_basis(lam)[0]
+    for W in ([w, w], [w, tuple(2 * x for x in w)]):
+        with pytest.raises(DimensionMismatchError, match="independent"):
+            cross_section(lam, W=W)
+    assert cross_section(lam, W=[w]).W == (w,)
+
+
 def test_center_must_be_positive(one_quad_mult2):
     with pytest.raises(OutsideDomainError):
         cross_section(one_quad_mult2, a0=[1, 1, 0, 1, 1, 1])

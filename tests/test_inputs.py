@@ -18,7 +18,7 @@ from liestrata import cli, errors, linalg, sweep, triples
 from liestrata.sweep import pool_size
 
 from conftest import (FILIFORM4, MULT2_PLUS_MULT3, ONE_QUAD_MULT2,
-                      ONE_QUAD_MULT3, TWO_QUADS_MULT2)
+                      ONE_QUAD_MULT3, TWO_QUADS_MULT2, deadline)
 
 
 def run_main(argv, stdin=""):
@@ -332,29 +332,71 @@ def test_a_slice_past_the_transversal_cap_is_still_a_slice():
         assert (rc, out) == (3, "") and "2^19" in err
 
 
-def test_sweep_ceiling_is_checked_before_the_pair_table(monkeypatch):
+@pytest.mark.parametrize("c", ["0", "0/5", "0.0"])
+def test_cross_section_refuses_a_zero_scale_constant(c):
+    # at c = 0 the Jacobian is zero, which dominant_at_center, computed
+    # at c = 1, used to certify
+    text = "n=6; (1,2,3) (1,2,4) (1,3,5) (1,5,6) (2,4,5) (2,5,6) (3,4,6)"
+    rc, out, err = run_main(["cross-section", "-", "--c", c], text)
+    assert (rc, out) == (3, "") and err.startswith("error: ")
+
+
+def refuse_pair_table(monkeypatch):
     def refuse(n):
         raise AssertionError(f"pair table built for n={n}")
     monkeypatch.setattr(sweep, "_pair_cache", refuse)
-    rc, out, err = run_main(["sweep", "--n", "40", "--size", "1",
-                             "--cap", "40"])
+
+
+def test_sweep_ceiling_is_checked_before_the_pair_table(monkeypatch):
+    refuse_pair_table(monkeypatch)
+    # 9 880 strata, well within the strata bound: the ceiling on n refuses
+    rc, out, err = run_main(["sweep", "--n", "40", "--size", "1"])
     assert rc == 3 and out == ""
     assert err.startswith("error: ") and str(sweep.MAX_N) in err
     with pytest.raises(CapExceededError):
-        next(sweep.sweep_strata(sweep.MAX_N + 1, size=1, cap=10**6))
-    sweep._check_caps(sweep.MAX_N, None, 1, sweep.MAX_N)
+        sweep.sweep_strata(sweep.MAX_N + 1, size=1)
+    # n = MAX_N passes every check and gets as far as the pair table
+    with pytest.raises(AssertionError, match=f"n={sweep.MAX_N}$"):
+        sweep.sweep_strata(sweep.MAX_N, size=1)
+
+
+def test_sweep_strata_bound_is_checked_before_the_pair_table(monkeypatch):
+    # sum of C(56, k) for k <= 20, about 1.6 * 10^15 strata
+    refuse_pair_table(monkeypatch)
+    with deadline(5):
+        with pytest.raises(CapExceededError, match=str(sweep.MAX_STRATA)):
+            sweep.sweep_strata(8, max_size=20)
+        for fmt in ("text", "structured"):
+            rc, out, err = run_main(["sweep", "--n", "8", "--max-size", "20",
+                                     "--format", fmt])
+            assert (rc, out) == (3, "") and err.startswith("error: ")
+
+
+def test_sweep_strata_bound_is_the_strata_count(monkeypatch):
+    monkeypatch.setattr(sweep, "MAX_STRATA", 120)
+    # C(10, 3) = 120 strata run; 1 + 10 + 45 + 120 = 176 do not
+    assert len(list(sweep.sweep_strata(5, size=3))) == 120
+    with pytest.raises(CapExceededError, match="176"):
+        sweep.sweep_strata(5, max_size=3)
+
+
+def test_a_small_sweep_above_n_8_runs():
+    rc, out, err = run_main(["sweep", "--n", "9", "--size", "2"])
+    assert (rc, err) == (0, "")
+    assert "# total: 3486\n" in out
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["--n", "9", "--size", "1"], 3),
+    (["--n", "8", "--max-size", "20"], 3),
     (["--n", "7"], 3),
-    (["--n", "17", "--size", "1", "--cap", "20"], 3),
+    (["--n", "17", "--size", "1"], 3),
     (["--n", "0"], 2),
+    (["--n", "-1"], 2),
     (["--n", "4", "--workers", "0"], 2),
     (["--n", "4", "--workers", "-3"], 2),
     (["--n", "4", "--size", "-1"], 2),
     (["--n", "4", "--max-size", "-1"], 2),
-    # --size and --max-size are alternatives, refused before the caps
+    # --size and --max-size are alternatives, refused before the count
     (["--n", "5", "--size", "2", "--max-size", "3"], 2),
     (["--n", "9", "--size", "1", "--max-size", "1"], 2),
 ])
@@ -704,8 +746,10 @@ FILTER = st.sampled_from(list(cli.OBSTRUCTION_FILTERS)
 @st.composite
 def sweep_argv(draw):
     """sweep options, each left out, valid or junk; the work stays small:
-    n <= 5, or n = 6 with an exact size of at most 2."""
-    n = draw(st.integers(-1, 6))
+    n <= 5, or n = 6 to 9 with an exact size of at most 2 (at most C(84, 2)
+    strata), or n = 7 to 9 with no size or a max size of 9 or more, which
+    is above sweep.MAX_STRATA and refused."""
+    n = draw(st.integers(-1, 9))
     argv = ["sweep"]
     values = {"--n": draw(st.sampled_from([str(n), str(n), None])
                           | INT_JUNK),
@@ -713,10 +757,11 @@ def sweep_argv(draw):
                              | INT_JUNK),
               "--max-size": draw(st.none() | st.integers(-1, 12).map(str)
                                  | INT_JUNK),
-              "--cap": draw(st.none() | st.integers(-1, 9).map(str)
-                            | INT_JUNK),
               "--filter": draw(st.none() | FILTER)}
-    if values["--n"] == "6":
+    if values["--n"] in ("7", "8", "9") and draw(st.booleans()):
+        values["--size"] = None
+        values["--max-size"] = draw(st.none() | st.integers(9, 40).map(str))
+    elif values["--n"] in ("6", "7", "8", "9"):
         values["--size"] = str(draw(st.integers(-1, 2)))
     for flag, value in values.items():
         if value is not None:

@@ -270,7 +270,7 @@ def test_cli_exit_code_on_upsilon_jacobi(tmp_path):
 def test_cli_sweep_cap(tmp_path):
     proc = run_cli(["sweep", "--n", "9"])
     assert proc.returncode == 3
-    proc = run_cli(["sweep", "--n", "7"])  # needs a size cap
+    proc = run_cli(["sweep", "--n", "7"])  # 2^35 strata
     assert proc.returncode == 3
 
 
