@@ -20,7 +20,6 @@ from . import cross_sections as cs
 from .errors import (CapExceededError, DimensionMismatchError,
                      MalformedInputError, ModeError, OutsideDomainError,
                      StratumError, UnsupportedShapeError)
-from .quadruples import CLASSIFICATIONS, OBSTRUCTIONS
 from .report import (build_analysis_report, build_cross_section_report,
                      build_isomorphism_report, render_text, SWEEP_SCHEMA)
 from .sweep import sweep_counts, sweep_strata
@@ -31,11 +30,6 @@ PRECONDITION_ERRORS = (ModeError, CapExceededError, OutsideDomainError,
                        UnsupportedShapeError)
 # every other StratumError is an input error
 INPUT_ERRORS = (StratumError, json.JSONDecodeError, OSError)
-
-OBSTRUCTION_FILTERS = OBSTRUCTIONS
-# "empty" is both; as a filter it names the obstruction status
-CLASSIFICATION_FILTERS = tuple(c for c in CLASSIFICATIONS
-                               if c not in OBSTRUCTION_FILTERS)
 
 
 def _read_source(path: str) -> str:
@@ -258,19 +252,10 @@ def cmd_sweep(args) -> int:
     ``json.dumps(doc, indent=2)`` would give, so memory stays bounded by a
     task and the bounded task list however many strata the sweep emits.
     """
-    obstruction = classification = None
-    if args.filter:
-        name = args.filter.lower()
-        if name in OBSTRUCTION_FILTERS:
-            obstruction = name
-        elif name in CLASSIFICATION_FILTERS:
-            classification = name
-        else:
-            raise MalformedInputError(f"unknown filter {args.filter!r}")
     structured = args.format == "structured"
     stream = sweep_strata(
         args.n, max_size=args.max_size, size=args.size,
-        obstruction=obstruction, classification=classification,
+        filter=None if args.filter is None else args.filter.lower(),
         discard_obstructed=args.discard_obstructed,
         workers=args.workers,
         render=_render_entries if structured else _render_lines)

@@ -42,6 +42,14 @@ OBSTRUCTION_NONTRIVIAL = "nontrivial"
 OBSTRUCTIONS = (OBSTRUCTION_EMPTY, OBSTRUCTION_AUTOMATIC,
                 OBSTRUCTION_NONTRIVIAL)
 
+# The labels a stratum of each obstruction status can get (stratum_status)
+STATUS_LABELS = {
+    OBSTRUCTION_EMPTY: (EMPTY,),
+    OBSTRUCTION_AUTOMATIC: (UNOBSTRUCTED,),
+    OBSTRUCTION_NONTRIVIAL: tuple(c for c in CLASSIFICATIONS
+                                  if c not in (EMPTY, UNOBSTRUCTED)),
+}
+
 # The labels classify can give a nontrivial stratum, by sorted multiplicity
 # pattern; every other pattern is unclassified, and so is a stratum whose
 # w-vectors do not span the null space.  Otherwise a one-quadruple pattern

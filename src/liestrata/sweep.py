@@ -44,8 +44,8 @@ from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError, MalformedInputError
-from .quadruples import (CLASSIFICATIONS, OBSTRUCTION_EMPTY, OBSTRUCTIONS,
-                         classify, stratum_status, _pair_info)
+from .quadruples import (CLASSIFICATIONS, EMPTY, STATUS_LABELS, classify,
+                         stratum_status, _pair_info)
 from .triples import IndexSet, THETA, Triple, enumerate_theta
 
 # No sweep has n above this.  The pair table grows with the square of
@@ -89,23 +89,19 @@ def _summarize(args, theta: list[Triple], combo: list[int], last: int | None,
                status: tuple) -> tuple | None:
     """Theta indices, obstruction and classification of the stratum of
     theta indices ``combo`` and ``last`` (just ``combo`` when ``last`` is
-    None) under the filters in the task's ``args``, or None when it is
-    dropped.
+    None), or None when its label is not among those the task's ``args``
+    keep.
 
     The walk calls it once for every stratum, kept or not.  ``status`` is
     stratum_status of the stratum's multiplicities, which the walk reads
     from the prefix ``combo`` (see _block): the obstruction status and
-    the labels the stratum can still get.  The filters see that first;
+    the labels the stratum can still get.  The filter sees those first;
     classify runs only when more than one label is open.  The walk adds
     the sorted multiplicities to a kept stratum's record.
     """
-    n, _, want_obstruction, want_label, discard, want_cls = args
+    n, _, kept, want_cls = args
     obstruction, labels = status
-    if discard and obstruction == OBSTRUCTION_EMPTY:
-        return None
-    if want_obstruction is not None and obstruction != want_obstruction:
-        return None
-    if want_label is not None and want_label not in labels:
+    if kept.isdisjoint(labels):
         return None
     indices = (*combo, last) if last is not None else ()
     classification = None
@@ -115,7 +111,7 @@ def _summarize(args, theta: list[Triple], combo: list[int], last: int | None,
         else:
             triples = tuple(theta[i] for i in indices)
             classification = classify(IndexSet(n, triples, THETA))
-            if want_label is not None and classification != want_label:
+            if classification not in kept:
                 return None
     return indices, obstruction, classification
 
@@ -234,13 +230,15 @@ def _split(m: int, k: int, prefix: tuple[int, ...]) -> list[tuple]:
 
 
 def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
-                 obstruction: str | None = None,
-                 classification: str | None = None,
-                 discard_obstructed: bool = False, workers: int = 1,
+                 filter: str | None = None, discard_obstructed: bool = False,
+                 workers: int = 1,
                  render: Callable[[list, int], list] | None = None
                  ) -> Iterator[StratumSummary] | Iterator[tuple]:
     """Yield matching strata in (size, lexicographic) order, classified
-    for n <= 6 or under a classification filter.
+    for n <= 6 or when ``filter`` is a label and not a status.
+
+    ``filter`` keeps the strata of one classification label, or of the
+    labels of one obstruction status (quadruples.STATUS_LABELS).
 
     Without ``render`` each stratum is a StratumSummary.  With it, the
     sweep yields the items ``render(records, n)`` returns for each task's
@@ -252,13 +250,12 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
     The call itself checks its arguments, counts the strata, builds the
     pair table and lists the tasks, so a refused sweep (MalformedInputError
     for workers < 1, a negative size, size with max_size, or an unknown
-    obstruction or classification; IndexOutOfRangeError for n < 1;
-    CapExceededError for n above MAX_N or more than MAX_STRATA strata)
-    raises before its caller has written anything.  The returned
-    generator then walks the tasks, each of at most LEAF_BOUND strata,
-    serially or in at most ``workers`` forked processes (see pool_size),
-    which start when its first item is asked for.  Ask for a pool only
-    from a process that runs no other thread.
+    filter; IndexOutOfRangeError for n < 1; CapExceededError for n above
+    MAX_N or more than MAX_STRATA strata) raises before its caller has
+    written anything.  The returned generator then walks the tasks, each
+    of at most LEAF_BOUND strata, serially or in at most ``workers`` forked
+    processes (see pool_size), which start when its first item is asked
+    for.  Ask for a pool only from a process that runs no other thread.
     """
     for name, value, least in (("workers", workers, 1), ("size", size, 0),
                                ("max_size", max_size, 0)):
@@ -266,11 +263,13 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
             raise MalformedInputError(f"{name}={value} is below {least}")
     if size is not None and max_size is not None:
         raise MalformedInputError("size and max_size exclude each other")
-    if obstruction not in (None, *OBSTRUCTIONS):
-        raise MalformedInputError(f"unknown obstruction {obstruction!r}")
-    if classification not in (None, *CLASSIFICATIONS):
-        raise MalformedInputError(
-            f"unknown classification {classification!r}")
+    if filter not in (None, *STATUS_LABELS, *CLASSIFICATIONS):
+        raise MalformedInputError(f"unknown filter {filter!r}")
+    # the labels a kept stratum may have
+    kept = set(CLASSIFICATIONS if filter is None
+               else STATUS_LABELS.get(filter, (filter,)))
+    if discard_obstructed:
+        kept.discard(EMPTY)
     if n > MAX_N:
         raise CapExceededError(f"n={n} exceeds the ceiling {MAX_N}")
     m = len(enumerate_theta(n))
@@ -280,11 +279,10 @@ def sweep_strata(n: int, max_size: int | None = None, size: int | None = None,
     if count > MAX_STRATA:
         raise CapExceededError(f"{count} strata exceed the bound {MAX_STRATA}")
     _pair_cache(n)  # here, so that forked workers share it
-    want_cls = n <= 6 or classification is not None
+    want_cls = n <= 6 or filter not in (None, *STATUS_LABELS)
     tasks = []
     for k in sizes:
-        args = (n, k, obstruction, classification, discard_obstructed,
-                want_cls)
+        args = (n, k, kept, want_cls)
         heads = [()] if k == 0 else [(first,) for first in range(m - k + 1)]
         for head in heads:
             tasks += [(args, *task) for task in _split(m, k, head)]

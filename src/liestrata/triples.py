@@ -75,6 +75,12 @@ class IndexSet:
     mode: str = THETA
 
     def __post_init__(self):
+        # first, so that a duplicate is reported whatever the other faults
+        for a, b in zip(self.triples, self.triples[1:]):
+            if a == b:
+                raise DuplicateTripleError(f"duplicate triple {a}")
+            if a > b:
+                raise OrderViolationError("triples must be strictly ascending")
         n = self.n
         if n < 1:
             raise IndexOutOfRangeError("dimension must be at least 1")
@@ -89,8 +95,6 @@ class IndexSet:
                 raise OrderViolationError(f"{t} needs i < j < k in theta mode")
         if self.mode not in (THETA, UPSILON):
             raise ModeError(f"unknown mode {self.mode!r}")
-        if list(self.triples) != sorted(set(self.triples)):
-            raise OrderViolationError("triples must be strictly ascending")
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -112,11 +116,7 @@ def validate_index_set(raw: Iterable[tuple[int, int, int]], n: int,
     if n > MAX_INPUT_N:
         raise CapExceededError(
             f"n={n} exceeds the input ceiling {MAX_INPUT_N}")
-    triples = sorted(Triple(*t) for t in raw)
-    for a, b in zip(triples, triples[1:]):
-        if a == b:
-            raise DuplicateTripleError(f"duplicate triple {a}")
-    return IndexSet(n, tuple(triples), mode)
+    return IndexSet(n, tuple(sorted(Triple(*t) for t in raw)), mode)
 
 
 def decode_json(text: str):

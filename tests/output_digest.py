@@ -5,7 +5,7 @@ they print.  Every call runs ``cli.main`` in-process; its stdout, stderr
 and exit code go into the sha256 of its command, and every call goes into
 the total.  The inputs are every stratum recorded in
 ``perfbench/strata.json`` (read, never written) and the index sets of
-``tests/conftest.py``, each with a seeded pair of structure vectors
+``tests/index_sets.py``, each with a seeded pair of structure vectors
 for ``isomorphic``.  Each line of ``SWEEPS`` is run in both formats and
 gets a digest of its own.  The last line counts the structured
 ``analyze --cross-section`` reports whose digest matches the one recorded
@@ -30,7 +30,7 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-import conftest  # noqa: E402
+import index_sets  # noqa: E402
 from liestrata import cli  # noqa: E402
 from liestrata.triples import parse_index_set  # noqa: E402
 
@@ -126,7 +126,7 @@ def run(argv: list[str], stdin: str) -> tuple[int, str, str]:
 def main() -> int:
     strata = recorded_strata()
     inputs = [e["index_set"] for e in strata] + \
-        [getattr(conftest, name) for name in FIXTURES]
+        [getattr(index_sets, name) for name in FIXTURES]
     rng = random.Random(SEED)
     documents = [text + "\n" + vector_pair(rng, text) for text in inputs]
     hashes = {label: hashlib.sha256() for label in COMMANDS}

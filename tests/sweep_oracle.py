@@ -62,11 +62,21 @@ def census(n: int, sizes, want_classification: bool) -> list[StratumSummary]:
             for combo in combinations(range(len(theta)), k)]
 
 
-def keep(summary: StratumSummary, obstruction=None, classification=None,
+STATUSES = (OBSTRUCTION_EMPTY, OBSTRUCTION_AUTOMATIC, OBSTRUCTION_NONTRIVIAL)
+
+
+def keep(summary: StratumSummary, name=None,
          discard_obstructed: bool = False) -> bool:
-    """The sweep's filters, restated."""
+    """The sweep's filter, restated as the CLI once dispatched it: a
+    status name matches the obstruction, any other name the label."""
     if discard_obstructed and summary.obstruction == OBSTRUCTION_EMPTY:
         return False
-    if obstruction is not None and summary.obstruction != obstruction:
-        return False
-    return classification is None or summary.classification == classification
+    if name in STATUSES:
+        return summary.obstruction == name
+    return name is None or summary.classification == name
+
+
+def classifying(n: int, name=None) -> bool:
+    """Whether a sweep labels its strata: at n <= 6, or when the filter
+    names a label that is not a status."""
+    return n <= 6 or name not in (None, *STATUSES)

@@ -65,16 +65,16 @@ def test_summarize_counts_every_enumerated_stratum(monkeypatch):
     assert tracer.counters["sweep.strata_enumerated"] == 120  # C(10, 3)
     assert len(emitted) == 120
     # a label filter drops strata inside the leaf, after they are counted
-    list(sweep.sweep_strata(5, size=3, classification="finite-1q2",
+    list(sweep.sweep_strata(5, size=3, filter="finite-1q2",
                             workers=1))
     assert tracer.counters["sweep.strata_enumerated"] == 240
 
 
 @pytest.mark.parametrize("n, size, filters", [
-    (5, 3, {"obstruction": "empty"}),
-    (5, 3, {"obstruction": "nontrivial"}),
+    (5, 3, {"filter": "empty"}),
+    (5, 3, {"filter": "nontrivial"}),
     (5, 3, {"discard_obstructed": True}),
-    (7, 3, {"classification": "finite-1q2"}),
+    (7, 3, {"filter": "finite-1q2"}),
 ])
 def test_summarize_counts_every_leaf_under_every_filter(monkeypatch, n, size,
                                                          filters):
@@ -110,9 +110,9 @@ def test_traced_sweep_counts_one_item_per_emitted_stratum(render, workers):
     assert tracer.counters["sweep.strata_emitted"] == len(items) == 120
     # a label filter: 16 of the 252 strata of size 5, and tasks that emit
     # none, which yield no item
-    emitted = list(sweep.sweep_strata(5, size=5, classification="finite-1q2"))
+    emitted = list(sweep.sweep_strata(5, size=5, filter="finite-1q2"))
     assert len(emitted) == 16
-    list(traced(5, size=5, classification="finite-1q2", workers=workers,
+    list(traced(5, size=5, filter="finite-1q2", workers=workers,
                 render=render))
     assert tracer.counters["sweep.strata_emitted"] == 120 + 16
 
@@ -132,7 +132,7 @@ def test_census_classify_decides_every_stratum_mod_2(monkeypatch):
                     monkeypatch.setattr(module, attr, tracer.counted(
                         "linalg.rank", rank))
     emitted = list(sweep.sweep_strata(7, size=5,
-                                      classification="finite-1q2"))
+                                      filter="finite-1q2"))
     assert len(emitted) == 2782
     assert tracer.counters["quadruples.classify"] == 2782
     assert tracer.counters["linalg.rank"] == 0

@@ -1,6 +1,8 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and the
+output digest script needs nothing else either."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +36,19 @@ def test_the_import_check_sees_third_party_modules():
         ["numpy.linalg"]
     assert outside_imports("def f():\n    import sympy\n") == ["sympy"]
     assert outside_imports("from . import x\nimport fractions\n") == []
+
+
+def test_output_digest_imports_without_pytest():
+    # the script runs on interpreters where pytest is not installed
+    code = "\n".join([
+        "import sys",
+        "sys.modules['pytest'] = sys.modules['hypothesis'] = None",
+        "import output_digest",
+        "assert 'conftest' not in sys.modules",
+        "for name in output_digest.FIXTURES:",
+        "    getattr(output_digest.index_sets, name)",
+    ])
+    done = subprocess.run([sys.executable, "-c", code],
+                          cwd=Path(__file__).parent, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

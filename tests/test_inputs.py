@@ -15,6 +15,7 @@ from liestrata import (CapExceededError, IndexOutOfRangeError,
                        delta_domain, enumerate_theta, gf2_coset_transversal,
                        gf2_rank, parse_index_set)
 from liestrata import cli, errors, linalg, sweep, triples
+from liestrata.quadruples import CLASSIFICATIONS, OBSTRUCTIONS
 from liestrata.sweep import pool_size
 
 from conftest import (FILIFORM4, MULT2_PLUS_MULT3, ONE_QUAD_MULT2,
@@ -399,25 +400,29 @@ def test_a_small_sweep_above_n_8_runs():
     # --size and --max-size are alternatives, refused before the count
     (["--n", "5", "--size", "2", "--max-size", "3"], 2),
     (["--n", "9", "--size", "1", "--max-size", "1"], 2),
+    # an empty filter names no status or label
+    (["--n", "4", "--filter="], 2),
+    (["--n", "4", "--filter", ""], 2),
 ])
 def test_refused_structured_sweep_writes_nothing(argv, code):
-    rc, out, err = run_main(["sweep", *argv, "--format", "structured"])
-    assert rc == code and out == ""
-    assert err.startswith("error: ")
+    for fmt in ("structured", "text"):
+        rc, out, err = run_main(["sweep", *argv, "--format", fmt])
+        assert rc == code and out == "", fmt
+        assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("filters", [
-    {"classification": "bogus"},
-    {"obstruction": "bogus"},
-    # a label is not a status, nor a status other than "empty" a label
-    {"obstruction": "finite-1q2"},
-    {"classification": "nontrivial"},
+    {"filter": "bogus"},
+    {"filter": ""},
+    # a status and a label, run together
+    {"filter": "nontrivial finite-1q2"},
+    {"filter": "finite-1q2,empty"},
     # the CLI lower-cases --filter; the library takes the exact names
-    {"classification": "Finite-1q2"},
+    {"filter": "Finite-1q2"},
 ])
 def test_sweep_strata_refuses_unknown_filters_at_the_call(filters):
     # before the generator exists, as for its other refused arguments
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(MalformedInputError, match="unknown filter"):
         sweep.sweep_strata(4, **filters)
 
 
@@ -738,8 +743,7 @@ def test_fuzzed_cross_section_options_keep_the_exit_code_contract(case):
 
 
 INT_JUNK = st.sampled_from(["", "x", "1.5", "--", "1e3", "0x10", " 3 ", "-"])
-FILTER = st.sampled_from(list(cli.OBSTRUCTION_FILTERS)
-                         + list(cli.CLASSIFICATION_FILTERS)) \
+FILTER = st.sampled_from(sorted({*OBSTRUCTIONS, *CLASSIFICATIONS})) \
     | st.sampled_from(["Finite-1Q2", "EMPTY", "", "--", "bogus"])
 
 

@@ -446,7 +446,7 @@ def test_sweep_size_filter_contains_known_stratum():
     from liestrata.sweep import sweep_strata
     target = parse_index_set(ONE_QUAD_MULT2).triples
     assert any(s.triples == target
-               for s in sweep_strata(7, size=6, classification="finite-1q2"))
+               for s in sweep_strata(7, size=6, filter="finite-1q2"))
 
 
 def test_cli_analyze_non_spanning(tmp_path):

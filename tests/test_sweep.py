@@ -7,7 +7,7 @@ import random
 import time
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -18,8 +18,9 @@ from liestrata import cli
 from liestrata.cli import main
 from liestrata.errors import CapExceededError
 from liestrata.quadruples import (CLASSIFICATIONS, OBSTRUCTION_NONTRIVIAL,
-                                  OBSTRUCTIONS, _PATTERN_LABELS,
-                                  _UNCLASSIFIED, stratum_status)
+                                  OBSTRUCTIONS, STATUS_LABELS,
+                                  _PATTERN_LABELS, _UNCLASSIFIED,
+                                  stratum_status)
 from liestrata import sweep
 from liestrata.report import SWEEP_SCHEMA
 from liestrata.sweep import sweep_strata
@@ -28,12 +29,14 @@ from liestrata.triples import IndexSet, THETA, enumerate_theta
 from conftest import (MULT2_PLUS_MULT3, ONE_QUAD_MULT2, ONE_QUAD_MULT3,
                       ONE_QUAD_NON_SPANNING, TWO_QUADS_MULT2, deadline,
                       random_index_set)
-from sweep_oracle import census, keep
+from sweep_oracle import census, classifying, keep
 
+# every filter name, as (status, label): "empty" is both
 FILTERS = ([(None, None)] + [(o, None) for o in OBSTRUCTIONS]
            + [(None, c) for c in CLASSIFICATIONS])
-# every size for n <= 5, sizes 0-3 for n = 6
-SWEEPS = [(3, None), (4, None), (5, None), (6, 3)]
+# every size for n <= 5, sizes 0-3 for n = 6 and 7; at n = 7 a sweep
+# labels its strata only under a label filter
+SWEEPS = [(3, None), (4, None), (5, None), (6, 3), (7, 3)]
 
 
 @lru_cache(maxsize=None)
@@ -47,14 +50,12 @@ def oracle(n, max_size, want_classification):
 @pytest.mark.parametrize("obstruction,classification", FILTERS)
 def test_sweep_matches_plain_enumeration(n, max_size, obstruction,
                                          classification):
-    ref = oracle(n, max_size, True)
+    name = obstruction or classification
+    ref = oracle(n, max_size, classifying(n, name))
     for discard in (False, True):
-        expected = [s for s in ref
-                    if keep(s, obstruction, classification, discard)]
+        expected = [s for s in ref if keep(s, name, discard)]
         for workers in (1, 2) if n >= 5 else (1,):
-            got = list(sweep_strata(n, max_size=max_size,
-                                    obstruction=obstruction,
-                                    classification=classification,
+            got = list(sweep_strata(n, max_size=max_size, filter=name,
                                     discard_obstructed=discard,
                                     workers=workers))
             assert got == expected, (discard, workers)
@@ -72,7 +73,7 @@ def test_sweep_exact_sizes_match_plain_enumeration():
 def test_sweep_without_classification_matches_plain_enumeration(obstruction):
     # n >= 7 leaves classification off unless a label filter asks for it
     ref = oracle(7, 2, False)
-    got = list(sweep_strata(7, max_size=2, obstruction=obstruction))
+    got = list(sweep_strata(7, max_size=2, filter=obstruction))
     assert got == [s for s in ref if keep(s, obstruction)]
     assert all(s.classification is None for s in got)
 
@@ -81,7 +82,9 @@ def test_sweep_without_classification_matches_plain_enumeration(obstruction):
                          [(None, False), (None, True), ("finite-1q2", True)])
 def test_blocks_hold_plain_records(classification, want_classification):
     # what a pool worker pickles back: no Triple, no StratumSummary
-    args = (7, 4, None, classification, False, want_classification)
+    kept = set(CLASSIFICATIONS) if classification is None \
+        else {classification}
+    args = (7, 4, kept, want_classification)
     records = sweep._block(args, (0,), None)
     assert records
     for record in records:
@@ -190,7 +193,7 @@ def test_sweep_tasks_hold_at_most_the_bound(monkeypatch, bound):
 
 
 @pytest.mark.parametrize("n,sizes", [(5, range(11)), (6, range(6))])
-def test_block_tasks_match_the_oracle_slice(n, sizes):
+def test_block_tasks_match_the_oracle_slice(monkeypatch, n, sizes):
     rng = random.Random(1000 + n)
     theta = enumerate_theta(n)
     m, index = len(theta), {t: i for i, t in enumerate(theta)}
@@ -206,14 +209,17 @@ def test_block_tasks_match_the_oracle_slice(n, sizes):
             stop = rng.randint(low + 1, m - k + d + 1)
             run = range(rng.randint(low, stop - 1), stop)
         obstruction, classification = rng.choice(FILTERS)
+        name = obstruction or classification
         discard = rng.random() < 0.3
-        args = (n, k, obstruction, classification, discard, True)
+        # the args sweep_strata gives each task of size k
+        args = listed_tasks(monkeypatch, n, size=k, filter=name,
+                            discard_obstructed=discard)[0][0]
         got = list(sweep._summaries([sweep._block(args, prefix, run)], theta))
         expected = []
         for s in ref[k]:
             combo = tuple(index[t] for t in s.triples)
             if combo[:d] == prefix and (run is None or combo[d] in run) \
-                    and keep(s, obstruction, classification, discard):
+                    and keep(s, name, discard):
                 expected.append(s)
         assert got == expected, (k, prefix, run)
 
@@ -261,7 +267,7 @@ def test_leaf_status_counts_a_quadruple_one_index_adds_twice(monkeypatch):
                             lambda n: (list(range(m)), later))
         for k in range(m + 1):
             seen.clear()
-            assert sweep._block((0, k, None, None, False, False), (), None) \
+            assert sweep._block((0, k, set(), False), (), None) \
                 == []
             assert [indices for indices, _ in seen] == \
                 list(combinations(range(m), k))
@@ -269,6 +275,21 @@ def test_leaf_status_counts_a_quadruple_one_index_adds_twice(monkeypatch):
                 mults = Counter(later[a][b] for a, b in
                                 combinations(indices, 2) if b in later[a])
                 assert status == stratum_status(mults.values()), indices
+
+
+def test_status_labels_are_those_stratum_status_gives():
+    # every multiplicity pattern of up to four quadruples of multiplicity
+    # 1 to 4: more quadruples or a higher multiplicity add no label
+    found = {status: set() for status in OBSTRUCTIONS}
+    for size in range(5):
+        for mults in combinations_with_replacement(range(1, 5), size):
+            status, labels = stratum_status(mults)
+            found[status].update(labels)
+    assert found == {status: set(labels)
+                     for status, labels in STATUS_LABELS.items()}
+    # each label belongs to one status
+    assert sorted(chain.from_iterable(STATUS_LABELS.values())) == \
+        sorted(CLASSIFICATIONS)
 
 
 def test_pattern_labels_contain_every_classify_verdict():
@@ -410,7 +431,7 @@ GOLDEN = [
 def test_streamed_sweep_output_is_unchanged(capsys, argv, n, obstruction,
                                             classification, discard):
     summaries = [s for s in oracle(n, None, True)
-                 if keep(s, obstruction, classification, discard)]
+                 if keep(s, obstruction or classification, discard)]
     # compared by lines (equal exactly when the strings are): a failure
     # then names the first differing line instead of diffing the document
     assert main(["sweep", *argv, "--format", "structured"]) == 0
@@ -440,6 +461,19 @@ def test_streamed_sweep_output_is_unchanged_off_the_golden_paths(
         assert main(["sweep", *argv, "--format", fmt]) == 0
         assert capsys.readouterr().out.splitlines(keepends=True) == \
             expected.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("name,labelled", [
+    ("automatic", False), ("empty", False), ("unobstructed", True)])
+def test_cli_labels_n_7_strata_only_under_a_label_filter(capsys, name,
+                                                          labelled):
+    # "empty" is a label too, but as a status it leaves classification off
+    assert main(["sweep", "--n", "7", "--size", "2", "--filter", name,
+                 "--format", "structured"]) == 0
+    strata = json.loads(capsys.readouterr().out)["strata"]
+    assert strata
+    assert {s["classification"] for s in strata} == \
+        ({name} if labelled else {None})
 
 
 def test_streamed_sweep_with_a_size_and_no_strata(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liestrata import (DuplicateTripleError, IndexOutOfRangeError,
-                       OrderViolationError, StructureVector, Triple,
+                       IndexSet, OrderViolationError, StructureVector, Triple,
                        enumerate_theta, parse_index_set, sign_vector,
                        structure_vector, validate_index_set)
 from liestrata.triples import index_set_document
@@ -55,6 +55,20 @@ def test_validate_rejects_out_of_range():
 def test_validate_rejects_duplicates():
     with pytest.raises(DuplicateTripleError):
         validate_index_set([(1, 2, 3), (1, 2, 3)], 4)
+
+
+def test_index_set_checks_its_neighbours_before_its_mode():
+    t, u = Triple(1, 2, 3), Triple(1, 2, 4)
+    for mode in ("theta", "upsilon", "bogus"):
+        with pytest.raises(DuplicateTripleError,
+                           match=r"^duplicate triple \(1,2,4\)$"):
+            IndexSet(4, (t, u, u), mode)
+        with pytest.raises(OrderViolationError,
+                           match="^triples must be strictly ascending$"):
+            IndexSet(4, (u, t), mode)
+    with pytest.raises(DuplicateTripleError,
+                       match=r"^duplicate triple \(1,2,3\)$"):
+        validate_index_set([(1, 2, 4), (1, 2, 3), (1, 2, 3)], 4, "bogus")
 
 
 def test_upsilon_mode_allows_small_k():
