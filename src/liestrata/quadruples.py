@@ -105,9 +105,11 @@ def aligned(t1: Triple, t2: Triple) -> bool:
     return root_dot(t1, t2) == -1
 
 
-# Unbounded, but kept: classify builds a fresh quadruple table per stratum,
-# and those tables re-pair the same triples, so a classifying sweep gains.
-@lru_cache(maxsize=None)
+# classify builds a fresh quadruple table per stratum, and those tables
+# re-pair the same triples, so a classifying sweep gains.  Bounded, since
+# every quadruple_table adds its pairs: 2^18 holds all 156 520 pairs of
+# theta at sweep.MAX_N = 16.
+@lru_cache(maxsize=1 << 18)
 def _pair_info(t1: Triple, t2: Triple) -> tuple[Quadruple, int] | None:
     """(quadruple, sign) of an aligned pair, None when not aligned.
 

@@ -25,13 +25,14 @@ turns the task's records into the items the sweep yields.
 
 A pooled sweep forks its workers when its first item is asked for, after
 the pair table is built, so they share it.  The caller deals task indices
-into one pipe; a free worker takes the next and writes the index and the
-pickled result into a pipe of its own.  Of a result that comes early the
-caller reads only the index and leaves the rest in the pipe until its
-turn, so results come out in task order.  A worker whose pipe is full
-(1 MiB on Linux) waits, and no task holds more than LEAF_BOUND strata (see
-_split), so neither side holds more than a few tasks' results.  Where
-os.fork is missing the sweep runs serially.
+into one pipe; a free worker takes the next and writes one frame into a
+pipe of its own: the index, the size of the pickled result and the
+pickle (see _serve).  Of a frame that comes early the caller reads only
+the index and leaves the rest in the pipe until its turn, so results
+come out in task order.  A worker whose pipe is full (1 MiB on Linux)
+waits, and no task holds more than LEAF_BOUND strata (see _split), so
+neither side holds more than a few tasks' results.  Where os.fork is
+missing the sweep runs serially.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import chain, starmap
+from itertools import starmap
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -296,7 +297,11 @@ def _walk_blocks(tasks: list, workers: int, n: int,
         blocks = _forked(work, tasks, workers)
     else:
         blocks = starmap(work, tasks)
-    yield from _items(blocks, n, render)
+    if render is None:
+        yield from _summaries(blocks, _pair_cache(n)[0])
+    else:
+        for block in blocks:
+            yield from block
 
 
 def _forked(work, tasks: list, workers: int) -> Iterator:
@@ -322,11 +327,10 @@ def _forked(work, tasks: list, workers: int) -> Iterator:
                 fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, 1 << 20)
             except (AttributeError, OSError):
                 pass  # not Linux, or over the pipe size limit
-            pipes.append(_Pipe(r))
+            pipes.append(r)
             pid = os.fork()
             if not pid:
-                _serve(work, tasks, tickets,
-                       [deal, *(pipe.fd for pipe in pipes)], fd)
+                _serve(work, tasks, tickets, [deal, *pipes], fd)
             pids.append(pid)
             os.close(fd)
         for i in range(len(tasks)):
@@ -340,52 +344,44 @@ def _forked(work, tasks: list, workers: int) -> Iterator:
             while i not in ready:  # task index -> the pipe its result is in
                 quiet = [pipe for pipe in pipes if pipe not in ready.values()]
                 for pipe in select(quiet, [], [])[0]:
-                    ready[int.from_bytes(pipe.read(4), "little")] = pipe
-            ok, result = pickle.load(ready.pop(i))
+                    ready[int.from_bytes(_read(pipe, 4), "little")] = pipe
+            pipe = ready.pop(i)
+            size = int.from_bytes(_read(pipe, 8), "little")
+            ok, result = pickle.loads(_read(pipe, size))
             if not ok:
                 raise result
             yield result
     finally:
-        for fd in (tickets, deal, *(pipe.fd for pipe in pipes)):
+        for fd in (tickets, deal, *pipes):
             os.close(fd)
         for pid in pids:
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
 
 
-class _Pipe:
-    """The caller's end of a worker's pipe, read by exact sizes, so a
-    pickle.load from it stops at the end of one result."""
-
-    def __init__(self, fd: int):
-        self.fd = fd
-
-    def fileno(self) -> int:
-        return self.fd
-
-    def read(self, size: int) -> bytearray:
-        """``size`` bytes; RuntimeError if the pipe ends first, as it does
-        when its worker dies."""
-        data = bytearray(size)
-        view, at = memoryview(data), 0
-        while at < size:
-            count = os.readv(self.fd, [view[at:]])
-            if not count:
-                raise RuntimeError("a sweep worker ended before its result")
-            at += count
-        return data
-
-    readline = read  # pickle.load requires it; binary pickles never call it
+def _read(fd: int, size: int) -> bytearray:
+    """``size`` bytes from the pipe ``fd``; RuntimeError if it ends first,
+    as it does when its worker dies."""
+    data = bytearray(size)
+    view, at = memoryview(data), 0
+    while at < size:
+        count = os.readv(fd, [view[at:]])
+        if not count:
+            raise RuntimeError("a sweep worker ended before its result")
+        at += count
+    return data
 
 
 def _serve(work, tasks: list, tickets: int, inherited: list, fd: int) -> None:
     """A pool worker's whole life: take task indices from the pipe
-    ``tickets`` until it ends, and for each write to the pipe ``fd`` the
-    index in 4 bytes and the pickle of (True, work(*task)), or (False,
-    exception) when the task raises.  A worker takes indices in order, so
-    its results are in order too.  It first closes the caller's pipe ends
-    it ``inherited``, and it leaves sys.stdout unflushed: that buffer may
-    hold the caller's output."""
+    ``tickets`` until it ends, and for each write to the pipe ``fd`` one
+    frame: the index in 4 bytes, then the size in 8 bytes and the bytes of
+    the pickle of (True, work(*task)), or of (False, exception) when the
+    task raises or its result does not pickle.  An exception that does
+    not pickle either is sent as a RuntimeError that names it.  A worker
+    takes indices in order, so its results are in order too.  It first
+    closes the caller's pipe ends it ``inherited``, and it leaves
+    sys.stdout unflushed: that buffer may hold the caller's output."""
     import pickle
 
     status = 1
@@ -396,23 +392,20 @@ def _serve(work, tasks: list, tickets: int, inherited: list, fd: int) -> None:
             while ticket := os.read(tickets, 4):
                 index = int.from_bytes(ticket, "little")
                 try:
-                    result = True, work(*tasks[index])
+                    frame = pickle.dumps((True, work(*tasks[index])))
                 except Exception as exc:
-                    result = False, exc
-                out.write(ticket)
-                pickle.dump(result, out)
+                    try:
+                        frame = pickle.dumps((False, exc))
+                    except Exception:
+                        frame = pickle.dumps((False, RuntimeError(
+                            f"a sweep task raised {exc!r}, which does not"
+                            " pickle")))
+                out.write(ticket + len(frame).to_bytes(8, "little"))
+                out.write(frame)
                 out.flush()
         status = 0
     finally:
         os._exit(status)
-
-
-def _items(blocks: Iterable[list], n: int, render) -> Iterator:
-    """The tasks' rendered items as they come, or their records as
-    summaries built in this process."""
-    if render is None:
-        return _summaries(blocks, _pair_cache(n)[0])
-    return chain.from_iterable(blocks)
 
 
 def _summaries(blocks: Iterable[list[tuple]],

@@ -1,7 +1,9 @@
-"""The runtime imports nothing outside the standard library, and the
-output digest script needs nothing else either."""
+"""The runtime imports nothing outside the standard library, the CLI
+loads none of the pool's modules at import, and the output digest script
+needs nothing beyond the standard library either."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +54,19 @@ def test_output_digest_imports_without_pytest():
                           cwd=Path(__file__).parent, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_loads_no_pool_module():
+    # a pooled sweep imports these when it starts; every other command
+    # would pay for them at launch
+    pool = ["pickle", "select", "fcntl", "signal", "multiprocessing",
+            "concurrent.futures"]
+    code = ("import sys, liestrata.cli; "
+            f"print([name for name in {pool!r} if name in sys.modules])")
+    root = str(Path(liestrata.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

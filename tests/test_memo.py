@@ -11,13 +11,14 @@ import pickle
 import sys
 import weakref
 from contextlib import contextmanager
+from math import comb
 
 import pytest
 
 from liestrata import (ModeError, cross_section, parse_index_set,
                        quadruple_table, sign_orbit_equivalent,
                        structure_vector)
-from liestrata import cross_sections, linalg, quadruples
+from liestrata import cross_sections, linalg, quadruples, sweep
 from liestrata.report import (build_analysis_report,
                               build_cross_section_report, render_text)
 
@@ -131,3 +132,10 @@ def test_memo_leaves_no_reference_cycle():
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_pair_cache_is_bounded_and_holds_the_largest_sweep_table():
+    # every pair of theta's triples at the largest n a sweep takes
+    maxsize = quadruples._pair_info.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    assert maxsize >= comb(comb(sweep.MAX_N, 3), 2) == 156_520

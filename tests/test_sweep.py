@@ -3,6 +3,7 @@ plain enumeration and the document the CLI used to build in memory."""
 
 import json
 import os
+import pickle
 import random
 import time
 from collections import Counter
@@ -560,6 +561,48 @@ def test_closing_a_pooled_sweep_reaps_its_workers(two_workers):
         stream = sweep_strata(6, max_size=6, workers=2)
         assert next(stream).size == 0
         stream.close()
+    assert_no_child_left()
+
+
+def unpicklable(records, n):
+    return [(record, lambda: None) for record in records]
+
+
+def test_pool_raises_the_error_of_an_item_that_does_not_pickle(two_workers):
+    with pytest.raises(Exception) as expected:
+        pickle.dumps(unpicklable([()], 5))
+    with deadline(30), pytest.raises(type(expected.value)) as raised:
+        list(sweep_strata(5, size=2, workers=2, render=unpicklable))
+    assert str(raised.value) == str(expected.value)
+    assert_no_child_left()
+
+
+def test_pool_names_a_task_error_that_does_not_pickle(monkeypatch,
+                                                      two_workers):
+    tasks = listed_tasks(monkeypatch, 5, size=3)
+
+    def fail():
+        error = CapExceededError("task 5 fails")
+        error.hook = lambda: None  # an exception pickles its __dict__
+        raise error
+
+    two_workers(tasks[5], fail)
+    with deadline(30), pytest.raises(
+            RuntimeError, match="CapExceededError.*task 5 fails.*not pickle"):
+        list(sweep_strata(5, size=3, workers=2))
+    assert_no_child_left()
+
+
+def wide(records, n):
+    # a task's text several times the 1 MiB a worker's pipe holds
+    return [(records, repr(records).ljust(3 << 20, "."))]
+
+
+def test_pool_reads_a_result_larger_than_its_pipe(two_workers):
+    with deadline(60):
+        pooled = list(sweep_strata(4, size=2, workers=2, render=wide))
+    assert len(pooled) == 3
+    assert pooled == list(sweep_strata(4, size=2, render=wide))
     assert_no_child_left()
 
 
